@@ -10,8 +10,8 @@ meaningless; the scaling gate in ``check_perf.py`` therefore only
 applies when the recorded ``multi_core`` flag is true.
 
 Correctness rides along: every session's served columns are verified
-against offline compute inside ``run_fleet_load``, so a routing or
-relay bug fails the bench rather than inflating its throughput.
+against offline compute inside ``run_load``, so a routing or relay
+bug fails the bench rather than inflating its throughput.
 """
 
 import asyncio
@@ -19,8 +19,7 @@ import os
 
 from common import SEED, emit, format_table, trial_count, write_bench_json
 from repro.fleet import FleetConfig, FleetServer
-from repro.fleet.load import run_fleet_load
-from repro.serve import ServeConfig
+from repro.serve import ServeConfig, run_load
 
 SESSIONS = 16
 BLOCK_SIZE = 200
@@ -38,7 +37,7 @@ def _run_fleet_case(workers: int, pushes: int):
         )
         port = await fleet.start()
         try:
-            return await run_fleet_load(
+            return await run_load(
                 "127.0.0.1",
                 port,
                 sessions=SESSIONS,
@@ -66,7 +65,7 @@ def bench_fleet_scaling():
             reports[w].columns,
             f"{reports[w].columns_per_s:.0f}",
             reports[w].diverged_columns,
-            sum(o.reconnects for o in reports[w].outcomes),
+            reports[w].total("reconnects"),
         ]
         for w in WORKER_COUNTS
     ]
@@ -114,14 +113,8 @@ def bench_fleet_scaling():
 
     for w in WORKER_COUNTS:
         assert reports[w].columns > 0, f"{w}-worker fleet served no columns"
-        assert reports[w].diverged_columns == 0, (
-            f"{w}-worker fleet diverged from the offline reference"
-        )
-        assert reports[w].incomplete_sessions == 0, (
-            f"{w}-worker fleet left sessions incomplete"
-        )
-        assert reports[w].all_defined, (
-            f"a {w}-worker session ended in an undefined state"
+        assert reports[w].failures() == [], (
+            f"{w}-worker fleet failed its verdict: {reports[w].failures()}"
         )
     if multi_core:
         assert scaling >= MIN_SCALING_MULTI_CORE, (

@@ -16,8 +16,7 @@ back to a per-window loop), not a microbenchmark:
   run on the same hardware.  The ``backends`` section must contain a
   ``numpy-float32`` entry clearing the ``float32_*`` floors (speedup
   over the float64 kernels and over the reference loop) and its
-  denominator-error budget; a ``numba`` entry is gated only when
-  present.
+  denominator-error budget.
 * ``bench_serve_load.py`` (optional — gated only when
   ``BENCH_serve_load.json`` exists): ``columns_per_s`` against the
   serve baseline's fraction floor, and ``speedup_vs_serial`` — the
@@ -78,8 +77,7 @@ def _check_backends(result: dict, baseline: dict, failures: list[str]) -> None:
     repo and must earn its keep on every machine: a floor on its
     speedup over the float64 kernels and over the frozen reference
     loop (both same-hardware ratios), and a ceiling on its measured
-    denominator error.  Optional backends (numba) are gated only when
-    the sweep could run them.
+    denominator error.
     """
     backends = result.get("backends", {})
     f32 = backends.get("numpy-float32")
@@ -117,21 +115,6 @@ def _check_backends(result: dict, baseline: dict, failures: list[str]) -> None:
         failures.append(
             f"float32 count agreement {f32['count_agreement']:.4f} != 1.0"
         )
-    numba = backends.get("numba")
-    if numba is not None:
-        print(
-            f"dsp numba backend: {numba['windows_per_s']:.0f} windows/s "
-            f"({numba['speedup_vs_float64']:.2f}x vs float64, "
-            f"{numba['speedup_vs_reference']:.2f}x vs reference)"
-        )
-        # The numba backend is the >= 3x-over-baseline candidate on
-        # multi-core hardware; where it ran, hold it to beating the
-        # float64 kernels at all.
-        if numba["speedup_vs_float64"] < 1.0:
-            failures.append(
-                f"numba backend slower than float64 kernels "
-                f"({numba['speedup_vs_float64']:.2f}x)"
-            )
 
 
 def _check_serve_load(failures: list[str]) -> None:

@@ -22,8 +22,10 @@ Subcommands, one per headline capability:
 * ``observe``   — serve the same gateway over a *recorded*
   ``--telemetry`` run directory: replayed events on ``/ws/live``, the
   recorded metrics snapshot on ``/metrics``.
-* ``load``      — drive a running ``serve`` with N concurrent sessions
-  and report throughput, latency percentiles, and batch occupancy.
+* ``load``      — drive a running ``serve`` or ``fleet`` with N
+  concurrent sessions, report throughput, latency percentiles, and
+  batch occupancy, and verify every served column against offline
+  compute.
 * ``record``    — run the streaming pipeline and record exactly what
   the tracker saw into a retention-managed capture store
   (`repro.capture`).
@@ -52,6 +54,9 @@ configured, and a lint test keeps ``print(`` out of the rest of
 from __future__ import annotations
 
 import argparse
+import asyncio
+import contextlib
+import signal
 
 import numpy as np
 
@@ -104,6 +109,23 @@ def _add_observability(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="suppress informational output (errors still print)",
     )
+
+
+def _stop_on_signals() -> asyncio.Event:
+    """An event SIGINT and SIGTERM set, so both stop a service gracefully.
+
+    Call it inside the service's event loop, before the service starts:
+    the wait on the event ends, the caller drains the service, and its
+    summary line prints, whichever signal arrived.
+    """
+    stop = asyncio.Event()
+    loop = asyncio.get_running_loop()
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        # An inherited "ignore" stays in force, as for the SIGINT of a
+        # background job started from a script.
+        if signal.getsignal(signum) is not signal.SIG_IGN:
+            loop.add_signal_handler(signum, stop.set)
+    return stop
 
 
 def cmd_track(args: argparse.Namespace) -> int:
@@ -372,8 +394,6 @@ def cmd_nulling(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the multi-session sensing service until stopped."""
-    import asyncio
-
     from repro.serve import SchedulerConfig, SensingServer, ServeConfig
 
     config = ServeConfig(
@@ -398,6 +418,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         chaos = ServerChaos(schedule)
 
     async def run() -> int:
+        stop = _stop_on_signals()
         hub = None
         gateway = None
         if args.dashboard:
@@ -424,7 +445,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 f"port {dashboard_port}"
             )
         try:
-            await server.serve_until_stopped(args.duration)
+            with contextlib.suppress(asyncio.TimeoutError):
+                await asyncio.wait_for(stop.wait(), args.duration)
         finally:
             if gateway is not None:
                 await gateway.shutdown()
@@ -449,8 +471,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_fleet(args: argparse.Namespace) -> int:
     """Run the sharded multi-worker sensing fleet until stopped."""
-    import asyncio
-
     from repro.fleet import FleetConfig, FleetServer
     from repro.serve import SchedulerConfig, ServeConfig
 
@@ -476,6 +496,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     )
 
     async def run() -> int:
+        stop = _stop_on_signals()
         hub = None
         gateway = None
         if args.dashboard:
@@ -506,7 +527,8 @@ def cmd_fleet(args: argparse.Namespace) -> int:
                 f"port {dashboard_port}"
             )
         try:
-            await fleet.serve_until_stopped(args.duration)
+            with contextlib.suppress(asyncio.TimeoutError):
+                await asyncio.wait_for(stop.wait(), args.duration)
         finally:
             if gateway is not None:
                 await gateway.shutdown()
@@ -530,8 +552,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 
 def cmd_observe(args: argparse.Namespace) -> int:
     """Serve the observe gateway over a recorded telemetry directory."""
-    import asyncio
-
     from repro.observe import ObserveConfig, ObserveGateway, TelemetryHub
     from repro.observe.replay import load_telemetry_replay
 
@@ -575,97 +595,10 @@ def cmd_observe(args: argparse.Namespace) -> int:
 
 
 def cmd_load(args: argparse.Namespace) -> int:
-    """Drive a running ``serve`` instance with concurrent sessions."""
-    import asyncio
+    """Drive a running ``serve`` or ``fleet`` and verify every column."""
+    from repro.serve import run_load
 
-    from repro.serve import run_chaos_load, run_load
-
-    if args.resilient:
-        from repro.fleet import run_fleet_load
-
-        report = asyncio.run(
-            run_fleet_load(
-                host=args.host,
-                port=args.port,
-                sessions=args.sessions,
-                pushes=args.pushes,
-                block_size=args.block_size,
-                seed=args.seed,
-                config={"window_size": 64, "hop": 16, "subarray_size": 16},
-            )
-        )
-        for key, value in report.summary().items():
-            out(f"  {key}: {value}")
-        failed = False
-        if report.diverged_columns:
-            out.error(f"load: {report.diverged_columns} diverged column(s)")
-            failed = True
-        if not report.all_defined:
-            bad = [o.outcome for o in report.outcomes if not o.defined]
-            out.error(f"load: undefined session outcome(s): {bad}")
-            failed = True
-        if report.incomplete_sessions:
-            bad = [
-                f"{o.session}:{o.outcome}"
-                for o in report.outcomes
-                if o.outcome != "complete"
-            ]
-            out.error(f"load: incomplete session(s): {bad}")
-            failed = True
-        if failed:
-            return 1
-        out(
-            "load: fleet run verified — zero divergence, "
-            f"{report.migrations} migration(s), "
-            f"{sum(o.resumes for o in report.outcomes)} resume(s)"
-        )
-        return 0
-
-    if args.chaos:
-        report = asyncio.run(
-            run_chaos_load(
-                host=args.host,
-                port=args.port,
-                sessions=args.sessions,
-                pushes=args.pushes,
-                block_size=args.block_size,
-                seed=args.seed,
-                chaos_seed=args.chaos_seed,
-                config={"window_size": 64, "hop": 16, "subarray_size": 16},
-            )
-        )
-        for key, value in report.summary().items():
-            out(f"  {key}: {value}")
-        if args.chaos_log is not None:
-            with open(args.chaos_log, "w", encoding="utf-8") as handle:
-                for line in report.chaos_log_lines():
-                    handle.write(line + "\n")
-            out(f"load: chaos log written to {args.chaos_log}")
-        failed = False
-        if report.diverged_columns:
-            out.error(f"load: {report.diverged_columns} diverged column(s)")
-            failed = True
-        if not report.all_defined:
-            bad = [o.outcome for o in report.outcomes if not o.defined]
-            out.error(f"load: undefined session outcome(s): {bad}")
-            failed = True
-        incomplete = [
-            o.session
-            for o in report.outcomes
-            if o.outcome == "complete" and o.columns != o.expected_columns
-        ]
-        if incomplete:
-            out.error(f"load: incomplete column stream in session(s) {incomplete}")
-            failed = True
-        if failed:
-            return 1
-        out(
-            "load: chaos run survived — zero divergence, "
-            f"{report.total_chaos_events} chaos events, "
-            f"{sum(o.reconnects for o in report.outcomes)} reconnects"
-        )
-        return 0
-
+    resilient = args.resilient or args.chaos
     report = asyncio.run(
         run_load(
             host=args.host,
@@ -674,14 +607,40 @@ def cmd_load(args: argparse.Namespace) -> int:
             seconds=args.seconds,
             block_size=args.block_size,
             seed=args.seed,
+            config=(
+                {"window_size": 64, "hop": 16, "subarray_size": 16}
+                if resilient
+                else None
+            ),
+            pushes=args.pushes if resilient else None,
+            chaos_seed=args.chaos_seed if args.chaos else None,
         )
     )
     for key, value in report.summary().items():
         out(f"  {key}: {value}")
-    if report.protocol_errors:
-        out.error(f"load: {report.protocol_errors} protocol error(s)")
+    if args.chaos_log is not None:
+        with open(args.chaos_log, "w", encoding="utf-8") as handle:
+            handle.writelines(line + "\n" for line in report.chaos_log)
+        out(f"load: chaos log written to {args.chaos_log}")
+    failures = report.failures()
+    for failure in failures:
+        out.error(f"load: {failure}")
+    if failures:
         return 1
-    out("load: completed with zero protocol errors")
+    if args.chaos:
+        out(
+            "load: chaos run survived — zero divergence, "
+            f"{report.total('chaos_events_applied')} chaos events, "
+            f"{report.total('reconnects')} reconnects"
+        )
+    elif args.resilient:
+        out(
+            "load: fleet run verified — zero divergence, "
+            f"{report.total('fleet_migrations')} migration(s), "
+            f"{report.total('resumes')} resume(s)"
+        )
+    else:
+        out("load: completed with zero protocol errors")
     return 0
 
 
@@ -856,13 +815,10 @@ def cmd_backends(args: argparse.Namespace) -> int:
         dtype=complex64 conformance=pass(max_den_err=...)``
 
     — so scripts (and the CI backend matrix) can grep a backend's
-    status without JSON plumbing.  Unavailable backends report the
-    import failure instead of a conformance verdict.
+    status without JSON plumbing.
     """
     for info in backend_infos():
-        if not info.available:
-            status = f"unavailable({info.reason})"
-        elif args.no_check:
+        if args.no_check:
             status = "skipped"
         else:
             status = quick_conformance(info.name)
@@ -1183,7 +1139,9 @@ def build_parser() -> argparse.ArgumentParser:
     observe.set_defaults(handler=cmd_observe)
 
     load = commands.add_parser(
-        "load", help="load-generate against a running serve instance"
+        "load",
+        help="load-generate against a running serve or fleet and verify "
+        "every served column against offline compute",
     )
     load.add_argument("--host", default="127.0.0.1")
     load.add_argument("--port", type=int, default=9361)
@@ -1203,9 +1161,8 @@ def build_parser() -> argparse.ArgumentParser:
     load.add_argument(
         "--resilient",
         action="store_true",
-        help="drive verifying resilient sessions (for a fleet frontend): "
-        "fixed --pushes per session, every column checked bit-for-bit "
-        "against offline compute",
+        help="drive resilient sessions (reconnect, resume, fleet "
+        "migration) for a fixed --pushes each, e.g. through a fleet frontend",
     )
     load.add_argument(
         "--chaos-seed",
@@ -1217,7 +1174,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--pushes",
         type=int,
         default=24,
-        help="pushes per session in chaos mode (fixed, for determinism)",
+        help="pushes per session with --chaos or --resilient (fixed, for "
+        "determinism)",
     )
     load.add_argument(
         "--chaos-log",

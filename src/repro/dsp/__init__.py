@@ -14,10 +14,8 @@ The kernel stack is dispatched through a pluggable backend protocol
 (:mod:`~repro.dsp.backend`): the reference
 :class:`~repro.dsp.backend.NumpyFloat64Backend` delegates to the
 modules above verbatim and stays the default; ``numpy-float32``
-(:mod:`~repro.dsp.backend_f32`) is a budgeted fast path, and
-``numba`` (:mod:`~repro.dsp.backend_numba`) an auto-detected JIT
-backend.  Selection is per-process (``REPRO_DSP_BACKEND`` /
-``repro --dsp-backend``).
+(:mod:`~repro.dsp.backend_f32`) is a budgeted fast path.  Selection
+is per-process (``REPRO_DSP_BACKEND`` / ``repro --dsp-backend``).
 
 Three contracts hold across the package, per backend:
 
@@ -37,7 +35,7 @@ Three contracts hold across the package, per backend:
   ``tests/dsp/test_backend_conformance.py``.
 """
 
-from repro.dsp import backend_f32, backend_numba  # noqa: F401 - register backends
+from repro.dsp import backend_f32  # noqa: F401 - registers the float32 backend
 from repro.dsp.backend import (
     DEFAULT_BACKEND,
     BackendInfo,

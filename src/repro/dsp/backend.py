@@ -15,9 +15,6 @@ streaming tracker) can run on alternative implementations:
   with an explicit per-column error budget, escalating any window the
   budget cannot certify back to the float64 kernels so degeneracy /
   fallback guard decisions match the reference *exactly*.
-* ``numba`` (:mod:`repro.dsp.backend_numba`) — an optional JIT
-  backend, auto-detected: it registers always but reports itself
-  unavailable when numba cannot be imported.
 
 Selection is **per process**: the ``REPRO_DSP_BACKEND`` environment
 variable (read once, lazily) or ``repro --dsp-backend`` picks the
@@ -121,9 +118,9 @@ class DspBackend:
     den_budget_per_m: float | None = None
 
     @classmethod
-    def available(cls) -> tuple[bool, str]:
-        """``(importable, reason-if-not)`` — checked at selection."""
-        return True, ""
+    def available(cls) -> bool:
+        """Whether the backend can run here; both shipped backends can."""
+        return True
 
     # -- kernel protocol (reference float64 delegates) -----------------
 
@@ -261,15 +258,12 @@ def backend_names() -> list[str]:
 
 
 def get_backend(name: str) -> DspBackend:
-    """The singleton instance for ``name``; raises when unusable."""
+    """The singleton instance for ``name``; raises when unknown."""
     cls = _REGISTRY.get(name)
     if cls is None:
         raise DspBackendError(
             f"unknown DSP backend {name!r}; registered: {', '.join(_REGISTRY)}"
         )
-    ok, reason = cls.available()
-    if not ok:
-        raise DspBackendError(f"DSP backend {name!r} is unavailable: {reason}")
     instance = _INSTANCES.get(name)
     if instance is None:
         instance = _INSTANCES[name] = cls()
@@ -327,7 +321,6 @@ class BackendInfo:
 
     name: str
     available: bool
-    reason: str
     active: bool
     default: bool
     dtype: str
@@ -339,12 +332,10 @@ def backend_infos() -> list[BackendInfo]:
     active_name = active_backend().name
     infos = []
     for name, cls in _REGISTRY.items():
-        ok, reason = cls.available()
         infos.append(
             BackendInfo(
                 name=name,
-                available=ok,
-                reason=reason,
+                available=cls.available(),
                 active=name == active_name,
                 default=name == DEFAULT_BACKEND,
                 dtype=np.dtype(cls.steering_dtype).name,
@@ -361,15 +352,11 @@ def quick_conformance(name: str, num_windows: int = 32) -> str:
     NaN-free saturated and a near-dead window — through the backend's
     fused :meth:`DspBackend.music_batch` and the reference backend,
     and reports ``"exact"`` / ``"pass(max_den_err=...)"`` / a
-    ``"FAIL(...)"`` diagnosis.  ``"unavailable"`` when the backend
-    cannot load.
+    ``"FAIL(...)"`` diagnosis.
     """
     from repro.core.tracking import TrackingConfig
 
-    try:
-        backend = get_backend(name)
-    except DspBackendError:
-        return "unavailable"
+    backend = get_backend(name)
     reference = get_backend(DEFAULT_BACKEND)
     config = TrackingConfig()
     rng = np.random.default_rng(20260807)

@@ -20,21 +20,17 @@ from repro.fleet.frontend import (
     FleetStats,
     merge_snapshots,
 )
-from repro.fleet.load import FleetLoadReport, FleetSessionOutcome, run_fleet_load
 from repro.fleet.ring import HashRing, stable_hash
 from repro.fleet.worker import WorkerHandle, WorkerSpec, start_worker
 
 __all__ = [
     "FleetConfig",
-    "FleetLoadReport",
     "FleetServer",
-    "FleetSessionOutcome",
     "FleetStats",
     "HashRing",
     "WorkerHandle",
     "WorkerSpec",
     "merge_snapshots",
-    "run_fleet_load",
     "stable_hash",
     "start_worker",
 ]

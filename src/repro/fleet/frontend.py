@@ -304,16 +304,6 @@ class FleetServer:
         self._supervisor = asyncio.create_task(self._supervise())
         return self.port
 
-    async def serve_until_stopped(self, duration_s: float | None = None) -> None:
-        """Block until :meth:`shutdown` (or for ``duration_s`` seconds)."""
-        if duration_s is None:
-            await self._stopped.wait()
-            return
-        try:
-            await asyncio.wait_for(self._stopped.wait(), timeout=duration_s)
-        except asyncio.TimeoutError:
-            await self.shutdown()
-
     async def shutdown(self) -> None:
         """Stop routing, collect final shard telemetry, reap workers."""
         if self._stopped.is_set():
@@ -395,7 +385,10 @@ class FleetServer:
 
     async def _supervise(self) -> None:
         """Restart crashed shards; keep per-shard caches fresh."""
-        while True:
+        # Shutdown cancels this task, but on Python 3.11 a cancel that
+        # lands as a probe's ``wait_for`` completes is swallowed; the
+        # stop flag still ends the loop, so shutdown never waits forever.
+        while not self._stopped.is_set():
             await asyncio.sleep(self.config.supervisor_interval_s)
             for state in list(self._shards.values()):
                 if state.stopped or state.draining:

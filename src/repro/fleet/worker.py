@@ -65,8 +65,13 @@ class WorkerSpec:
 
 def _worker_main(spec: WorkerSpec, conn: Connection) -> None:
     """Entry point of the shard process."""
-    # The parent's signal disposition is inherited; the worker wants
-    # SIGINT ignored (the frontend coordinates shutdown via SIGTERM).
+    # A forked worker inherits the frontend's signal handlers and its
+    # event loop's wakeup fd, which would report this process's signals
+    # to the frontend's loop.  Drop both: SIGTERM gets its default until
+    # the worker's own loop takes it over, and SIGINT is ignored (the
+    # frontend coordinates shutdown via SIGTERM).
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     if spec.dsp_backend is not None:
         from repro.dsp.backend import use_backend

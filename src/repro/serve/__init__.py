@@ -15,17 +15,11 @@ error frames for malformed input, read/write deadlines and a scheduler
 watchdog on the server, and a reconnecting, checkpoint-resuming client
 (:mod:`repro.serve.resilient`) whose served columns stay bit-equal to
 an uninterrupted run under the seeded chaos harness
-(:mod:`repro.chaos`, driven by :func:`run_chaos_load`).
+(:mod:`repro.chaos`, driven by :func:`run_load`).
 """
 
 from repro.serve.client import AsyncServeClient, ClientStats, PushReply, ServeClient
-from repro.serve.load import (
-    ChaosLoadReport,
-    ChaosSessionOutcome,
-    LoadReport,
-    run_chaos_load,
-    run_load,
-)
+from repro.serve.load import LoadReport, SessionOutcome, run_load
 from repro.serve.resilient import (
     BackoffPolicy,
     ResilienceStats,
@@ -44,8 +38,6 @@ __all__ = [
     "AsyncServeClient",
     "BackoffPolicy",
     "CONFIGURABLE_FIELDS",
-    "ChaosLoadReport",
-    "ChaosSessionOutcome",
     "ClientStats",
     "LoadReport",
     "MicroBatchScheduler",
@@ -59,8 +51,8 @@ __all__ = [
     "ServeConfig",
     "ServeSession",
     "ServerStats",
+    "SessionOutcome",
     "SessionStats",
     "config_from_wire",
-    "run_chaos_load",
     "run_load",
 ]

@@ -1,23 +1,42 @@
-"""Load generator for the sensing service.
+"""Seeded, verifying load generator for the sensing service.
 
-Spins N concurrent sessions — each its own connection, so the server's
-micro-batching has real cross-session concurrency to exploit — and
-streams seeded complex-noise blocks for a fixed duration.  Reports the
-numbers the serving benchmark and the CI smoke step care about:
-aggregate columns/s, request-latency percentiles, error/shed counts,
-and the server's own scheduler snapshot (batch occupancy).
+One generator serves every load mode.  N concurrent sessions, each on
+its own connection so the server's micro-batching has real
+cross-session concurrency to exploit, stream one prefix-stable seeded
+trace: block k of session i depends only on (seed + i, k).  The only
+thing that varies is the client each session drives:
+
+* :class:`~repro.serve.client.AsyncServeClient` for the timed
+  throughput run (push until ``seconds`` run out);
+* :class:`~repro.serve.resilient.ResilientServeClient`, with a stable
+  ``routing_key`` and an optional seeded chaos plan, for the fixed-push
+  chaos and fleet runs.
+
+While the sessions run, each served column is kept only as its index
+and a 16-byte digest of its power bytes, so a long timed run holds
+little memory.  After the timed phase, one verifier rebuilds the offline
+``compute_spectrogram`` of exactly the samples the server acknowledged,
+``VERIFY_CHUNK`` columns at a time, and requires every index once, each
+byte-identical to its reference column: a batching, recovery, routing
+or relay bug is a counted divergence, never a silent pass.
+Verification stays out of ``seconds`` and ``columns_per_s``.  Every
+mode returns one :class:`LoadReport` and is held to one verdict,
+:meth:`LoadReport.failures`.
 """
 
 from __future__ import annotations
 
 import asyncio
+import hashlib
+import time
+from array import array
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
 from repro.chaos import ChaosSchedule, ChaosScheduleConfig, ClientChaos
-from repro.core.tracking import compute_spectrogram
+from repro.core.tracking import TrackingConfig, compute_spectrogram
 from repro.errors import ReproError, ServeOverloadError
 from repro.serve.client import AsyncServeClient
 from repro.serve.resilient import BackoffPolicy, ResilientServeClient
@@ -27,92 +46,320 @@ from repro.serve.session import config_from_wire
 #: camera-ready date) without importing from outside the package.
 DEFAULT_SEED = 20130812
 
+#: Reconnect pacing of the resilient sessions: 12 attempts, about 8.5 s
+#: of backoff before a session gives up on a server or shard.
+BACKOFF = BackoffPolicy(max_attempts=12)
+
+#: Reference columns the verifier computes at a time.
+VERIFY_CHUNK = 64
+
+#: Bytes of the power digest kept per served column.
+DIGEST_SIZE = 16
+
+
+def _trace_block(seed: int, k: int, block_size: int) -> np.ndarray:
+    """Block ``k`` of the seeded session trace ``seed``.
+
+    Two tones and a DC offset over the absolute sample index, plus noise
+    drawn from ``(seed, k)`` alone: a prefix of the trace is the same
+    whether it is streamed block by block or rebuilt for the reference.
+    """
+    rng = np.random.default_rng([seed, k])
+    n = np.arange(k * block_size, (k + 1) * block_size)
+    noise = rng.standard_normal(block_size) + 1j * rng.standard_normal(block_size)
+    return np.exp(1j * 0.12 * n) + 0.4 * np.exp(-1j * 0.05 * n) + 0.25 * noise + 0.6
+
+
+def _trace(seed: int, start: int, stop: int, block_size: int) -> np.ndarray:
+    """Samples ``start:stop`` of the seeded session trace ``seed``."""
+    first, last = start // block_size, -(-stop // block_size)
+    blocks = [_trace_block(seed, k, block_size) for k in range(first, last)]
+    offset = first * block_size
+    return np.concatenate(blocks)[start - offset : stop - offset]
+
+
+def _digest(power: np.ndarray) -> bytes:
+    return hashlib.blake2b(power.tobytes(), digest_size=DIGEST_SIZE).digest()
+
+
+def _percentile_ms(values: list[float], q: float) -> float:
+    if not values:
+        return 0.0
+    return float(np.percentile(np.asarray(values), q * 100)) * 1e3
+
+
+@dataclass
+class SessionOutcome:
+    """How one load session ended, and what its columns proved.
+
+    ``outcome`` is ``"complete"``, ``"error:<TaxonomyClass>"`` (a typed
+    or connection failure: a defined end), or ``"undefined:<Exception>"``
+    (a bug in the generator itself).  ``requests`` counts every request
+    round trip on the wire (open, every push including shed ones,
+    close); ``pushes`` counts the blocks the server acknowledged;
+    ``columns`` the distinct column indices served; ``expected_columns``
+    what offline compute makes of the acknowledged blocks.
+    """
+
+    session: int
+    outcome: str
+    requests: int = 0
+    pushes: int = 0
+    columns: int = 0
+    expected_columns: int = 0
+    diverged_columns: int = 0
+    detections: int = 0
+    shed_requests: int = 0
+    reconnects: int = 0
+    resumes: int = 0
+    duplicate_acks: int = 0
+    chaos_events_applied: int = 0
+    fleet_migrations: int = 0
+    #: Round trip of every acknowledged push.
+    latencies_s: list[float] = field(default_factory=list)
+    #: Reconnect-begin to first post-resume column, per recovery.
+    recovery_latencies_s: list[float] = field(default_factory=list)
+
+    @property
+    def defined(self) -> bool:
+        """Terminal state the failure model allows: done, or typed."""
+        return self.outcome == "complete" or self.outcome.startswith("error:")
+
+    @property
+    def complete(self) -> bool:
+        """Finished cleanly, with every offline column served."""
+        return self.outcome == "complete" and self.columns == self.expected_columns
+
 
 @dataclass
 class LoadReport:
-    """Aggregate outcome of one load run."""
+    """Aggregate outcome of one load run, in every mode."""
 
     sessions: int = 0
+    #: Fixed pushes per session; ``None`` for a timed run.
+    pushes_per_session: int | None = None
+    chaos_seed: int | None = None
+    #: A timed run's push duration; a fixed-push run's measured wall
+    #: time.  Verification stays out of both.
     seconds: float = 0.0
-    requests: int = 0
-    columns: int = 0
-    detections: int = 0
-    protocol_errors: int = 0
-    shed_requests: int = 0
-    latencies_s: list[float] = field(default_factory=list)
+    outcomes: list[SessionOutcome] = field(default_factory=list)
+    #: The deterministic chaos record: per-session plan + applied log.
+    #: Identical across runs of the same seeds; server-side STALL_TICK
+    #: and REPLY_LATENCY application depends on timing and is left out
+    #: (DESIGN.md §11).
+    chaos_log: list[str] = field(default_factory=list)
     server_stats: dict[str, Any] = field(default_factory=dict)
+
+    def total(self, name: str) -> int:
+        """Sum one per-session counter, e.g. ``total("reconnects")``."""
+        return sum(getattr(outcome, name) for outcome in self.outcomes)
+
+    @property
+    def columns(self) -> int:
+        return self.total("columns")
 
     @property
     def columns_per_s(self) -> float:
         return self.columns / self.seconds if self.seconds > 0 else 0.0
 
+    @property
+    def diverged_columns(self) -> int:
+        return self.total("diverged_columns")
+
+    @property
+    def protocol_errors(self) -> int:
+        """Sessions whose exchange with the server ended on an error."""
+        return sum(outcome.outcome != "complete" for outcome in self.outcomes)
+
+    @property
+    def incomplete_sessions(self) -> int:
+        return sum(not outcome.complete for outcome in self.outcomes)
+
+    @property
+    def all_defined(self) -> bool:
+        return all(outcome.defined for outcome in self.outcomes)
+
+    @property
+    def latencies_s(self) -> list[float]:
+        return [x for outcome in self.outcomes for x in outcome.latencies_s]
+
+    @property
+    def recovery_latencies_s(self) -> list[float]:
+        return [x for outcome in self.outcomes for x in outcome.recovery_latencies_s]
+
     def latency_percentile(self, q: float) -> float:
-        """Request latency percentile in milliseconds."""
-        if not self.latencies_s:
-            return 0.0
-        return float(np.percentile(np.asarray(self.latencies_s), q * 100)) * 1e3
+        """Push round-trip latency percentile in milliseconds."""
+        return _percentile_ms(self.latencies_s, q)
+
+    def recovery_percentile(self, q: float) -> float:
+        """Reconnect-to-first-column latency percentile, milliseconds."""
+        return _percentile_ms(self.recovery_latencies_s, q)
+
+    def failures(self) -> list[str]:
+        """The one verdict: zero divergence, every outcome defined,
+        every session complete.  Empty means the run passed."""
+        problems = []
+        if self.diverged_columns:
+            problems.append(f"{self.diverged_columns} diverged column(s)")
+        undefined = [o.outcome for o in self.outcomes if not o.defined]
+        if undefined:
+            problems.append(f"undefined session outcome(s): {undefined}")
+        incomplete = [
+            f"{o.session}:{o.outcome} ({o.columns}/{o.expected_columns} columns)"
+            for o in self.outcomes
+            if not o.complete
+        ]
+        if incomplete:
+            problems.append(f"incomplete session(s): {incomplete}")
+        return problems
 
     def summary(self) -> dict[str, Any]:
+        scheduler = self.server_stats.get("scheduler", {})
         return {
             "sessions": self.sessions,
+            "pushes_per_session": self.pushes_per_session,
             "seconds": round(self.seconds, 3),
-            "requests": self.requests,
+            "requests": self.total("requests"),
+            "pushes": self.total("pushes"),
             "columns": self.columns,
             "columns_per_s": round(self.columns_per_s, 2),
-            "detections": self.detections,
+            "detections": self.total("detections"),
             "protocol_errors": self.protocol_errors,
-            "shed_requests": self.shed_requests,
+            "shed_requests": self.total("shed_requests"),
             "latency_p50_ms": round(self.latency_percentile(0.5), 3),
             "latency_p99_ms": round(self.latency_percentile(0.99), 3),
-            "batch_occupancy_mean": self.server_stats.get("scheduler", {}).get(
-                "mean_batch_windows"
-            ),
-            "batch_occupancy_p99": self.server_stats.get("scheduler", {}).get(
-                "batch_p99"
-            ),
+            "batch_occupancy_mean": scheduler.get("mean_batch_windows"),
+            "batch_occupancy_p99": scheduler.get("batch_p99"),
+            "diverged_columns": self.diverged_columns,
+            "incomplete_sessions": self.incomplete_sessions,
+            "all_outcomes_defined": self.all_defined,
+            "outcomes": [o.outcome for o in self.outcomes],
+            "chaos_seed": self.chaos_seed,
+            "chaos_events_applied": self.total("chaos_events_applied"),
+            "reconnects": self.total("reconnects"),
+            "resumes": self.total("resumes"),
+            "duplicate_acks": self.total("duplicate_acks"),
+            "fleet_migrations": self.total("fleet_migrations"),
+            "recovery_p50_ms": round(self.recovery_percentile(0.5), 3),
+            "recovery_p99_ms": round(self.recovery_percentile(0.99), 3),
+            "shards": [
+                {key: shard.get(key) for key in ("shard", "state", "columns_served")}
+                for shard in self.server_stats.get("shards", [])
+            ],
         }
 
 
 async def _drive_session(
-    host: str,
-    port: int,
-    seconds: float,
-    block_size: int,
+    client: AsyncServeClient | ResilientServeClient,
+    result: SessionOutcome,
     seed: int,
+    block_size: int,
+    pushes: int | None,
+    seconds: float,
     config: dict[str, Any] | None,
-    report: LoadReport,
-    stop: asyncio.Event,
-) -> None:
-    """One session's lifetime: open, push until the clock runs out, close."""
-    rng = np.random.default_rng(seed)
-    client = AsyncServeClient(host, port)
-    await client.connect()
+) -> tuple[array, bytearray]:
+    """One session's lifetime; ends as a defined outcome, never raises.
+
+    Returns the index and the power digest of every column the
+    acknowledged pushes carried, in arrival order.
+    """
+    indices, digests = array("q"), bytearray()
+    resilient = isinstance(client, ResilientServeClient)
+    loop = asyncio.get_running_loop()
     try:
-        await client.open_session(config=config)
-        loop = asyncio.get_running_loop()
+        if resilient:
+            await client.start()
+        else:
+            await client.connect()
+            await client.open_session(config=config)
         deadline = loop.time() + seconds
-        while loop.time() < deadline and not stop.is_set():
-            block = rng.standard_normal(block_size) + 1j * rng.standard_normal(
-                block_size
-            )
+        while (result.pushes < pushes) if pushes is not None else (loop.time() < deadline):
             try:
-                await client.push(block)
+                reply = await client.push(_trace_block(seed, result.pushes, block_size))
             except ServeOverloadError:
-                report.shed_requests += 1
+                # A shed push never reached the tracker: re-send the same
+                # block.  A resilient client has already retried it.
+                if resilient:
+                    raise
+                result.shed_requests += 1
                 await asyncio.sleep(0.01)
-            except ReproError:
-                report.protocol_errors += 1
-                break
-        try:
-            await client.close_session()
-        except (ReproError, ConnectionError):  # pragma: no cover - teardown race
-            pass
+                continue
+            result.pushes += 1
+            result.latencies_s.append(reply.latency_s)
+            result.detections += len(reply.detections)
+            for column in reply.columns:
+                indices.append(column.index)
+                digests += _digest(column.power)
+        await client.close_session()
+    except ReproError as exc:
+        result.outcome = f"error:{type(exc).__name__}"
+    except (ConnectionError, OSError, asyncio.IncompleteReadError):
+        result.outcome = "error:ConnectionError"
     finally:
-        report.requests += client.stats.requests
-        report.columns += client.stats.columns
-        report.detections += client.stats.detections
-        report.latencies_s.extend(client.stats.latencies_s)
         await client.aclose()
+    if resilient:
+        stats = client.stats
+        result.requests = client.wire_stats.requests
+        result.reconnects = stats.reconnects
+        result.resumes = stats.resumes
+        result.duplicate_acks = stats.duplicate_acks
+        result.chaos_events_applied = stats.chaos_events_applied
+        result.fleet_migrations = stats.fleet_migrations
+        result.recovery_latencies_s = list(stats.recovery_latencies_s)
+    else:
+        result.requests = client.stats.requests
+    return indices, digests
+
+
+def _verify(
+    result: SessionOutcome,
+    indices: array,
+    digests: bytearray,
+    seed: int,
+    block_size: int,
+    config: TrackingConfig,
+) -> None:
+    """Hold the served columns to offline compute of the acknowledged blocks.
+
+    Every expected index must arrive once and match its reference
+    column byte for byte; a repeat, or an index no acknowledged sample
+    makes, is a diverged column, and a missing one leaves ``columns``
+    short of ``expected_columns``.
+    """
+    window, hop = config.window_size, config.hop
+    samples = result.pushes * block_size
+    expected = (samples - window) // hop + 1 if samples >= window else 0
+    served: dict[int, bytes] = {}
+    diverged = 0
+    for j, index in enumerate(indices):
+        if index in served or not 0 <= index < expected:
+            diverged += 1
+        else:
+            served[index] = bytes(digests[j * DIGEST_SIZE : (j + 1) * DIGEST_SIZE])
+    for first in range(0, expected, VERIFY_CHUNK):
+        last = min(first + VERIFY_CHUNK, expected)
+        # Window-aligned: column j is the window at sample j * hop.
+        chunk = _trace(seed, first * hop, (last - 1) * hop + window, block_size)
+        reference = compute_spectrogram(chunk, config).power
+        diverged += sum(
+            index in served and served[index] != _digest(row)
+            for index, row in zip(range(first, last), reference)
+        )
+    result.columns = len(served)
+    result.expected_columns = expected
+    result.diverged_columns = diverged
+
+
+async def _server_stats(host: str, port: int) -> dict[str, Any]:
+    """One last connection for the server's own view of the run."""
+    probe = AsyncServeClient(host, port)
+    try:
+        await probe.connect()
+        return await probe.server_stats()
+    except (ConnectionError, OSError, ReproError):
+        return {}
+    finally:
+        await probe.aclose()
 
 
 async def run_load(
@@ -123,279 +370,78 @@ async def run_load(
     block_size: int = 400,
     seed: int = DEFAULT_SEED,
     config: dict[str, Any] | None = None,
+    *,
+    pushes: int | None = None,
+    chaos_seed: int | None = None,
+    chaos_config: ChaosScheduleConfig | None = None,
 ) -> LoadReport:
-    """Drive ``sessions`` concurrent clients for ``seconds``.
+    """Drive ``sessions`` concurrent sessions, then verify their columns.
 
-    Each session streams independent seeded noise (seed + session
-    index), so runs are reproducible while sessions stay decorrelated.
+    Session i streams the trace ``seed + i``.  Without ``pushes`` it
+    drives an :class:`AsyncServeClient` for ``seconds`` (the timed
+    throughput run).  With ``pushes`` it drives a
+    :class:`ResilientServeClient` (reconnect, resume, fleet migration)
+    under the stable routing key ``load-<i>`` for exactly that many
+    blocks, and ``chaos_seed`` gives it the seeded chaos plan
+    ``chaos_seed + i`` over them (the chaos and fleet runs).
     """
-    report = LoadReport(sessions=sessions, seconds=seconds)
-    stop = asyncio.Event()
-    tasks = [
-        asyncio.create_task(
-            _drive_session(
-                host, port, seconds, block_size, seed + i, config, report, stop
+    if chaos_seed is not None and pushes is None:
+        raise ValueError("a chaos plan needs a fixed push count")
+    tracking = config_from_wire(dict(config) if config else None)
+    plans = [
+        None
+        if chaos_seed is None
+        else ClientChaos(
+            ChaosSchedule.generate(
+                chaos_config or ChaosScheduleConfig(), pushes, chaos_seed + i
             ),
-            name=f"load-session-{i}",
+            seed=chaos_seed + i,
         )
         for i in range(sessions)
     ]
-    results = await asyncio.gather(*tasks, return_exceptions=True)
-    for outcome in results:
-        if isinstance(outcome, BaseException):
-            report.protocol_errors += 1
-    # One last connection for the server's own view of the run.
-    probe = AsyncServeClient(host, port)
-    try:
-        await probe.connect()
-        report.server_stats = await probe.server_stats()
-        await probe.aclose()
-    except (ConnectionError, OSError, ReproError):  # pragma: no cover
-        pass
-    return report
-
-
-# ----------------------------------------------------------------------
-# Chaos mode
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class ChaosSessionOutcome:
-    """How one chaos-driven session ended."""
-
-    session: int
-    outcome: str  # "complete" or "error:<TaxonomyClass>"
-    columns: int = 0
-    expected_columns: int = 0
-    diverged_columns: int = 0
-    reconnects: int = 0
-    resumes: int = 0
-    duplicate_acks: int = 0
-    chaos_events_applied: int = 0
-
-    @property
-    def defined(self) -> bool:
-        """Terminal state the failure model allows: done, or typed."""
-        return self.outcome == "complete" or self.outcome.startswith("error:")
-
-
-@dataclass
-class ChaosLoadReport:
-    """Aggregate outcome of one seeded chaos load run.
-
-    The two gates the soak enforces: :attr:`diverged_columns` must be
-    zero (every served column bit-equal to the offline reference), and
-    every session outcome must be *defined* — either ``complete`` or a
-    typed taxonomy error, never a hang or an unhandled exception.
-    """
-
-    sessions: int = 0
-    pushes_per_session: int = 0
-    chaos_seed: int = 0
-    outcomes: list[ChaosSessionOutcome] = field(default_factory=list)
-    recovery_latencies_s: list[float] = field(default_factory=list)
-    chaos_log: list[str] = field(default_factory=list)
-    server_stats: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def diverged_columns(self) -> int:
-        return sum(outcome.diverged_columns for outcome in self.outcomes)
-
-    @property
-    def all_defined(self) -> bool:
-        return all(outcome.defined for outcome in self.outcomes)
-
-    @property
-    def total_chaos_events(self) -> int:
-        return sum(o.chaos_events_applied for o in self.outcomes)
-
-    def recovery_percentile(self, q: float) -> float:
-        """Reconnect-to-first-column latency percentile, milliseconds."""
-        if not self.recovery_latencies_s:
-            return 0.0
-        return float(
-            np.percentile(np.asarray(self.recovery_latencies_s), q * 100)
-        ) * 1e3
-
-    def chaos_log_lines(self) -> list[str]:
-        """The deterministic chaos record: plans + client-side logs.
-
-        Bit-for-bit identical across runs of the same seeds — the
-        property the CI soak diffs.  Server-side STALL_TICK and
-        REPLY_LATENCY application is timing-dependent (tick counts vary
-        with load), so it is deliberately excluded; see DESIGN.md §11.
-        """
-        return list(self.chaos_log)
-
-    def summary(self) -> dict[str, Any]:
-        return {
-            "sessions": self.sessions,
-            "pushes_per_session": self.pushes_per_session,
-            "chaos_seed": self.chaos_seed,
-            "chaos_events_applied": self.total_chaos_events,
-            "columns": sum(o.columns for o in self.outcomes),
-            "diverged_columns": self.diverged_columns,
-            "all_outcomes_defined": self.all_defined,
-            "outcomes": [o.outcome for o in self.outcomes],
-            "reconnects": sum(o.reconnects for o in self.outcomes),
-            "resumes": sum(o.resumes for o in self.outcomes),
-            "duplicate_acks": sum(o.duplicate_acks for o in self.outcomes),
-            "recovery_p50_ms": round(self.recovery_percentile(0.5), 3),
-            "recovery_p99_ms": round(self.recovery_percentile(0.99), 3),
-        }
-
-
-def _chaos_trace(seed: int, pushes: int, block_size: int) -> np.ndarray:
-    """One session's full seeded trace, generated up front.
-
-    Pre-generating (rather than drawing inside the push loop) is what
-    makes the offline reference and the re-sent pushes bit-identical.
-    """
-    rng = np.random.default_rng(seed)
-    n = np.arange(pushes * block_size)
-    return (
-        np.exp(1j * 0.12 * n)
-        + 0.4 * np.exp(-1j * 0.05 * n)
-        + 0.25 * (rng.standard_normal(len(n)) + 1j * rng.standard_normal(len(n)))
-        + 0.6
-    )
-
-
-async def _drive_chaos_session(
-    index: int,
-    host: str,
-    port: int,
-    trace: np.ndarray,
-    block_size: int,
-    pushes: int,
-    chaos: ClientChaos,
-    backoff: BackoffPolicy,
-    config: dict[str, Any] | None,
-    expected_power: np.ndarray,
-) -> tuple[ChaosSessionOutcome, list[float]]:
-    """One session's chaos-ridden lifetime; never raises."""
-    client = ResilientServeClient(
-        host,
-        port,
-        session_config=config,
-        chaos=chaos,
-        backoff=backoff,
-        seed=chaos.seed,
-    )
-    outcome = "complete"
-    try:
-        await client.start()
-        for push in range(pushes):
-            block = trace[push * block_size : (push + 1) * block_size]
-            await client.push(block)
-        await client.close_session()
-    except ReproError as exc:
-        outcome = f"error:{type(exc).__name__}"
-    except (ConnectionError, OSError, asyncio.IncompleteReadError):
-        outcome = "error:ConnectionError"
-    finally:
-        await client.aclose()
-    served = client.served_columns()
-    diverged = 0
-    for column in served:
-        if column.index >= len(expected_power) or not np.array_equal(
-            column.power, expected_power[column.index]
-        ):
-            diverged += 1
-    if outcome == "complete" and len(served) != len(expected_power):
-        outcome = "error:IncompleteStream"
-    return ChaosSessionOutcome(
-        session=index,
-        outcome=outcome,
-        columns=len(served),
-        expected_columns=len(expected_power),
-        diverged_columns=diverged,
-        reconnects=client.stats.reconnects,
-        resumes=client.stats.resumes,
-        duplicate_acks=client.stats.duplicate_acks,
-        chaos_events_applied=client.stats.chaos_events_applied,
-    ), client.stats.recovery_latencies_s
-
-
-async def run_chaos_load(
-    host: str,
-    port: int,
-    sessions: int = 8,
-    pushes: int = 24,
-    block_size: int = 200,
-    seed: int = DEFAULT_SEED,
-    chaos_seed: int = 7,
-    chaos_config: ChaosScheduleConfig | None = None,
-    config: dict[str, Any] | None = None,
-    backoff: BackoffPolicy | None = None,
-) -> ChaosLoadReport:
-    """Drive N resilient sessions through seeded chaos; verify columns.
-
-    Each session gets its own trace (``seed + i``) and its own chaos
-    schedule (``chaos_seed + i``, horizon = its push count), applied by
-    :class:`ResilientServeClient`.  Every served column is checked
-    bit-for-bit against the offline ``compute_spectrogram`` of the same
-    trace, so a recovery bug that drops, re-orders, or re-computes a
-    window differently is a counted divergence, not a silent pass.
-    """
-    chaos_config = chaos_config or ChaosScheduleConfig()
-    backoff = backoff or BackoffPolicy()
-    report = ChaosLoadReport(
-        sessions=sessions, pushes_per_session=pushes, chaos_seed=chaos_seed
-    )
-    tracking = config_from_wire(dict(config) if config else None)
-    plans: list[ClientChaos] = []
-    traces: list[np.ndarray] = []
-    references: list[np.ndarray] = []
-    for i in range(sessions):
-        schedule = ChaosSchedule.generate(chaos_config, pushes, chaos_seed + i)
-        plans.append(ClientChaos(schedule, seed=chaos_seed + i))
-        trace = _chaos_trace(seed + i, pushes, block_size)
-        traces.append(trace)
-        references.append(compute_spectrogram(trace, tracking).power)
+    outcomes = [SessionOutcome(session=i, outcome="complete") for i in range(sessions)]
+    clients = [
+        ResilientServeClient(
+            host,
+            port,
+            session_config=config,
+            chaos=plans[i],
+            backoff=BACKOFF,
+            seed=seed + i,
+            routing_key=f"load-{i}",
+        )
+        if pushes is not None
+        else AsyncServeClient(host, port)
+        for i in range(sessions)
+    ]
+    start = time.perf_counter()
     results = await asyncio.gather(
         *[
-            _drive_chaos_session(
-                i,
-                host,
-                port,
-                traces[i],
-                block_size,
-                pushes,
-                plans[i],
-                backoff,
-                config,
-                references[i],
+            _drive_session(
+                clients[i], outcomes[i], seed + i, block_size, pushes, seconds, config
             )
             for i in range(sessions)
         ],
         return_exceptions=True,
     )
-    for i, result in enumerate(results):
-        if isinstance(result, BaseException):
-            # A driver bug, not a protocol outcome: record it as an
-            # *undefined* terminal state so the gate fails loudly.
-            report.outcomes.append(
-                ChaosSessionOutcome(
-                    session=i, outcome=f"undefined:{type(result).__name__}"
-                )
-            )
+    report = LoadReport(
+        sessions=sessions,
+        pushes_per_session=pushes,
+        chaos_seed=chaos_seed,
+        seconds=seconds if pushes is None else time.perf_counter() - start,
+        outcomes=outcomes,
+    )
+    # The verifier runs only now, outside the timed phase.
+    for i, served in enumerate(results):
+        if isinstance(served, BaseException):
+            # A bug in the generator, not a protocol outcome: record it
+            # as an *undefined* terminal state so the verdict fails loudly.
+            outcomes[i].outcome = f"undefined:{type(served).__name__}"
             continue
-        outcome, recoveries = result
-        report.outcomes.append(outcome)
-        report.recovery_latencies_s.extend(recoveries)
-    # The deterministic chaos record: per-session plan + applied log.
+        _verify(outcomes[i], *served, seed + i, block_size, tracking)
     for i, plan in enumerate(plans):
-        for line in plan.schedule.describe():
-            report.chaos_log.append(f"s{i} plan {line}")
-        for entry in plan.log:
-            report.chaos_log.append(f"s{i} applied {entry.describe()}")
-    probe = AsyncServeClient(host, port)
-    try:
-        await probe.connect()
-        report.server_stats = await probe.server_stats()
-        await probe.aclose()
-    except (ConnectionError, OSError, ReproError):  # pragma: no cover
-        pass
+        if plan is not None:
+            report.chaos_log += [f"s{i} plan {line}" for line in plan.schedule.describe()]
+            report.chaos_log += [f"s{i} applied {entry.describe()}" for entry in plan.log]
+    report.server_stats = await _server_stats(host, port)
     return report

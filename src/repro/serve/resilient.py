@@ -47,7 +47,7 @@ from repro.errors import (
 )
 from repro.runtime.tracker import SpectrogramColumn
 from repro.serve import protocol
-from repro.serve.client import AsyncServeClient, PushReply
+from repro.serve.client import AsyncServeClient, ClientStats, PushReply
 
 
 @dataclass(frozen=True)
@@ -130,6 +130,8 @@ class ResilientServeClient:
         # perturbs the chaos plan's draws.
         self._backoff_rng = np.random.default_rng([int(seed), 1_000_003])
         self.stats = ResilienceStats()
+        #: Wire accounting summed over every connection of the session.
+        self.wire_stats = ClientStats()
         #: Served columns keyed by column index (duplicates dropped).
         self.columns: dict[int, SpectrogramColumn] = {}
         self.detections: list[dict[str, Any]] = []
@@ -193,6 +195,7 @@ class ResilientServeClient:
                 await asyncio.sleep(self.backoff.delay_s(attempt, self._backoff_rng))
             await self._drop_connection()
             client = AsyncServeClient(self.host, self.port)
+            client.stats = self.wire_stats
             try:
                 await client.connect()
                 await client.open_session(

@@ -203,16 +203,6 @@ class SensingServer:
         self.scheduler.start()
         return self.port
 
-    async def serve_until_stopped(self, duration_s: float | None = None) -> None:
-        """Block until :meth:`shutdown` (or for ``duration_s`` seconds)."""
-        if duration_s is None:
-            await self._stopped.wait()
-            return
-        try:
-            await asyncio.wait_for(self._stopped.wait(), timeout=duration_s)
-        except asyncio.TimeoutError:
-            await self.shutdown()
-
     async def shutdown(self) -> None:
         """Graceful drain: stop accepting, answer everything admitted.
 

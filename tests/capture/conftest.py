@@ -10,6 +10,8 @@ from repro.core.tracking import TrackingConfig
 from repro.runtime import BlockSource, DetectStage, StreamingPipeline, StreamingTracker
 from repro.telemetry.context import reset_telemetry
 
+from tests.helpers import synthetic_trace
+
 #: A light config so record/replay tests emit several columns from a
 #: few hundred samples.
 FAST = {"window_size": 64, "hop": 16, "subarray_size": 24}
@@ -30,17 +32,6 @@ def fast_config() -> TrackingConfig:
 @pytest.fixture
 def store(tmp_path) -> CaptureStore:
     return CaptureStore(tmp_path / "store")
-
-
-def synthetic_trace(rng, num_samples: int = 480) -> np.ndarray:
-    """A moving-reflector trace: linear phase ramps plus noise and DC."""
-    n = np.arange(num_samples)
-    return (
-        np.exp(1j * 0.12 * n)
-        + 0.4 * np.exp(-1j * 0.05 * n)
-        + 0.25 * (rng.standard_normal(num_samples) + 1j * rng.standard_normal(num_samples))
-        + 0.6
-    )
 
 
 @pytest.fixture

@@ -19,20 +19,15 @@ from repro.runtime.tracker import StreamingTracker, TrackerCheckpoint
 from repro.serve import AsyncServeClient, SensingServer, ServeConfig
 from repro.serve.session import ServeSession, config_from_wire
 
+from tests.helpers import synthetic_trace
+
 FAST = {"window_size": 64, "hop": 16, "subarray_size": 24}
 CONFIG = TrackingConfig(**{k: v for k, v in FAST.items()})
 
 
 def _trace_with_nan_burst(rng, num_samples=640):
     """A moving-reflector trace with one block-sized NaN burst."""
-    n = np.arange(num_samples)
-    trace = (
-        np.exp(1j * 0.12 * n)
-        + 0.4 * np.exp(-1j * 0.05 * n)
-        + 0.25
-        * (rng.standard_normal(num_samples) + 1j * rng.standard_normal(num_samples))
-        + 0.6
-    )
+    trace = synthetic_trace(rng, num_samples)
     # One push-block of NaNs: degrades health, forces the beamforming
     # fallback in the windows it touches, but recovers (one bad block
     # never reaches RECALIBRATING under the default policy).

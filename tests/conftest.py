@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -41,3 +44,30 @@ def walking_scene(small_room) -> Scene:
     )
     human = Human(trajectory=trajectory, body=BodyModel(limb_count=0))
     return Scene(room=small_room, humans=[human])
+
+
+@pytest.fixture
+def spawn_repro(tmp_path):
+    """Start ``python -m repro <argv>`` subprocesses logging to files.
+
+    ``spawn_repro(*argv)`` returns ``(process, log)``; any process still
+    running at teardown is stopped with SIGTERM.
+    """
+    processes = []
+
+    def spawn(*argv):
+        log = tmp_path / f"repro-{len(processes)}.log"
+        with log.open("w") as sink:
+            process = subprocess.Popen(
+                [sys.executable, "-m", "repro", *argv],
+                stdout=sink,
+                stderr=subprocess.STDOUT,
+            )
+        processes.append(process)
+        return process, log
+
+    yield spawn
+    for process in processes:
+        if process.poll() is None:
+            process.terminate()
+        process.wait(timeout=15)

@@ -14,10 +14,6 @@ three backend contracts:
   one grid bin on accepted rows;
 * **Batch stability** — a batch of one is bit-identical to the same
   window inside a larger batch, per backend.
-
-Unavailable backends (numba in a bare container) are skipped with
-their import diagnosis, so the same suite is the CI backend matrix on
-any machine.
 """
 
 import numpy as np
@@ -28,7 +24,6 @@ from hypothesis import strategies as st
 from repro.core.tracking import TrackingConfig, estimate_windows_batch
 from repro.dsp.backend import (
     DEFAULT_BACKEND,
-    DspBackendError,
     backend_names,
     get_backend,
     use_backend,
@@ -38,13 +33,6 @@ from repro.dsp.eig import REASON_OK
 WINDOW = 32
 SUBARRAY = 12  # even: exercises the float32 real-transform fast path
 CONFIG = TrackingConfig(window_size=WINDOW, hop=8, subarray_size=SUBARRAY)
-
-
-def _backend_or_skip(name):
-    try:
-        return get_backend(name)
-    except DspBackendError as exc:
-        pytest.skip(str(exc))
 
 
 @st.composite
@@ -86,7 +74,7 @@ def _finite_rows(windows):
 @settings(max_examples=40, deadline=None)
 @given(stack=window_stacks())
 def test_guard_decisions_match_reference_exactly(name, stack):
-    backend = _backend_or_skip(name)
+    backend = get_backend(name)
     reference = get_backend(DEFAULT_BACKEND)
     finite = stack[_finite_rows(stack)]
     if not len(finite):
@@ -101,7 +89,7 @@ def test_guard_decisions_match_reference_exactly(name, stack):
 @settings(max_examples=40, deadline=None)
 @given(stack=window_stacks())
 def test_accepted_rows_stay_inside_the_budget(name, stack):
-    backend = _backend_or_skip(name)
+    backend = get_backend(name)
     reference = get_backend(DEFAULT_BACKEND)
     finite = stack[_finite_rows(stack)]
     if not len(finite):
@@ -131,7 +119,7 @@ def test_accepted_rows_stay_inside_the_budget(name, stack):
 @settings(max_examples=25, deadline=None)
 @given(stack=window_stacks())
 def test_batch_of_one_is_bit_identical_per_backend(name, stack):
-    backend = _backend_or_skip(name)
+    backend = get_backend(name)
     finite = stack[_finite_rows(stack)]
     if not len(finite):
         return
@@ -150,11 +138,8 @@ def test_batch_of_one_is_bit_identical_per_backend(name, stack):
 def test_pipeline_estimator_labels_match_reference(name, stack):
     """End to end: the frame path's estimator/fallback choices are
     backend-invariant even with non-finite rows in the stack."""
-    try:
-        with use_backend(name):
-            power, counts, estimators = estimate_windows_batch(stack, CONFIG)
-    except DspBackendError as exc:
-        pytest.skip(str(exc))
+    with use_backend(name):
+        power, counts, estimators = estimate_windows_batch(stack, CONFIG)
     with use_backend(DEFAULT_BACKEND):
         _, counts_ref, estimators_ref = estimate_windows_batch(stack, CONFIG)
     assert np.array_equal(estimators, estimators_ref)
@@ -169,7 +154,7 @@ def test_odd_subarray_takes_the_exact_path():
     config = TrackingConfig(window_size=WINDOW, hop=8, subarray_size=11)
     rng = np.random.default_rng(7)
     windows = rng.normal(size=(3, WINDOW)) + 1j * rng.normal(size=(3, WINDOW))
-    f32 = _backend_or_skip("numpy-float32")
+    f32 = get_backend("numpy-float32")
     reference = get_backend(DEFAULT_BACKEND)
     result = f32.music_batch(windows, config)
     expected = reference.music_batch(windows, config)

@@ -29,7 +29,6 @@ def test_registry_contains_the_expected_backends():
     names = backend_names()
     assert names[0] == DEFAULT_BACKEND  # ordinal 0 = the default
     assert "numpy-float32" in names
-    assert "numba" in names  # registered even when unavailable
 
 
 def test_default_backend_is_active_without_configuration(monkeypatch):
@@ -52,17 +51,6 @@ def test_unknown_backend_raises_typed_error():
         get_backend("bogus")
     with pytest.raises(ReproError):  # part of the repro error hierarchy
         set_active_backend("bogus")
-
-
-def test_unavailable_backend_raises_with_diagnosis():
-    infos = {info.name: info for info in backend_infos()}
-    numba_info = infos["numba"]
-    if numba_info.available:
-        pytest.skip("numba importable here; unavailability path untestable")
-    assert "numba" in numba_info.reason
-    with pytest.raises(DspBackendError, match="unavailable"):
-        get_backend("numba")
-    assert quick_conformance("numba") == "unavailable"
 
 
 def test_use_backend_scopes_and_restores():

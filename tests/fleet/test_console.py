@@ -2,59 +2,37 @@
 
 The fleet process must print its bound port and one line per shard in
 the same parseable convention as ``repro serve`` — scripts and the CI
-fleet smoke step rely on those lines when starting with ``--port 0``.
+fleet smoke step rely on those lines when starting with ``--port 0`` —
+and SIGTERM must drain it, reap every shard, and exit 0.
 """
 
+import os
 import re
 import subprocess
 import sys
-import time
 
 import pytest
 
-PORT_LINE = re.compile(r"^fleet: listening on (\S+) port (\d+)$")
-SHARD_LINE = re.compile(r"^fleet: shard (w\d+) pid (\d+) port (\d+)$")
+from tests.helpers import wait_for_line
+
+PORT_LINE = re.compile(r"^fleet: listening on (\S+) port (\d+)$", re.MULTILINE)
+SHARD_LINE = re.compile(r"^fleet: shard (w\d+) pid (\d+) port (\d+)$", re.MULTILINE)
 
 
 @pytest.fixture
-def fleet_process(tmp_path):
-    """A real ``repro fleet --port 0`` subprocess; yields (port, shards)."""
-    log = tmp_path / "fleet.log"
-    with log.open("w") as sink:
-        process = subprocess.Popen(
-            [sys.executable, "-m", "repro", "fleet", "--port", "0",
-             "--workers", "2", "--duration", "60"],
-            stdout=sink,
-            stderr=subprocess.STDOUT,
-        )
-    try:
-        port = None
-        shards = {}
-        deadline = time.monotonic() + 30
-        while time.monotonic() < deadline:
-            for line in log.read_text().splitlines():
-                match = PORT_LINE.match(line)
-                if match:
-                    port = int(match.group(2))
-                match = SHARD_LINE.match(line)
-                if match:
-                    shards[match.group(1)] = int(match.group(3))
-            if (port is not None and len(shards) == 2) or (
-                process.poll() is not None
-            ):
-                break
-            time.sleep(0.1)
-        assert port is not None, f"no port line in: {log.read_text()!r}"
-        assert sorted(shards) == ["w0", "w1"], log.read_text()
-        yield port, shards
-    finally:
-        process.terminate()
-        process.wait(timeout=15)
+def fleet_process(spawn_repro):
+    """A real ``repro fleet --port 0``: (process, port, shard pids, log)."""
+    process, log = spawn_repro("fleet", "--port", "0", "--workers", "2", "--duration", "60")
+    port = int(wait_for_line(log, PORT_LINE, process, timeout=30).group(2))
+    wait_for_line(log, re.compile(r"^fleet: shard w1 ", re.MULTILINE), process)
+    shards = {m.group(1): int(m.group(2)) for m in SHARD_LINE.finditer(log.read_text())}
+    assert sorted(shards) == ["w0", "w1"], log.read_text()
+    return process, port, shards, log
 
 
 class TestFleetConsole:
     def test_resilient_load_verifies_through_the_fleet(self, fleet_process):
-        port, _ = fleet_process
+        _, port, _, _ = fleet_process
         result = subprocess.run(
             [sys.executable, "-m", "repro", "load", "--resilient",
              "--port", str(port), "--sessions", "4", "--pushes", "4",
@@ -66,3 +44,12 @@ class TestFleetConsole:
         assert result.returncode == 0, result.stdout + result.stderr
         assert "zero divergence" in result.stdout
         assert "diverged_columns: 0" in result.stdout
+
+    def test_sigterm_drains_and_reaps_every_shard(self, fleet_process):
+        process, _, shards, log = fleet_process
+        process.terminate()
+        assert process.wait(timeout=30) == 0, log.read_text()
+        assert "fleet: routed 0 session(s)" in log.read_text()
+        for pid in shards.values():
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)

@@ -9,42 +9,18 @@ to the offline compute of the same trace.
 """
 
 import asyncio
-from contextlib import asynccontextmanager
 
 import numpy as np
 import pytest
 
 from repro.core.tracking import compute_spectrogram
 from repro.errors import ShardDrainingError, WorkerCrashedError
-from repro.fleet import FleetConfig, FleetServer
-from repro.serve import AsyncServeClient, ServeConfig
+from repro.serve import AsyncServeClient
 from repro.serve.resilient import BackoffPolicy, ResilientServeClient
 from repro.serve.session import config_from_wire
 
-FAST = {"window_size": 64, "hop": 16, "subarray_size": 24}
-
-
-@asynccontextmanager
-async def running_fleet(workers=2, **kwargs):
-    kwargs.setdefault("supervisor_interval_s", 0.1)
-    config = FleetConfig(workers=workers, serve=ServeConfig(), **kwargs)
-    fleet = FleetServer(config)
-    await fleet.start()
-    try:
-        yield fleet
-    finally:
-        await fleet.shutdown()
-
-
-def _trace(rng, num_samples):
-    n = np.arange(num_samples)
-    return (
-        np.exp(1j * 0.12 * n)
-        + 0.4 * np.exp(-1j * 0.05 * n)
-        + 0.25
-        * (rng.standard_normal(num_samples) + 1j * rng.standard_normal(num_samples))
-        + 0.6
-    )
+from tests.fleet.test_frontend import FAST, running_fleet
+from tests.helpers import synthetic_trace
 
 
 def _key_on(fleet, shard):
@@ -63,6 +39,45 @@ async def _wait_for(predicate, timeout_s=20.0, interval_s=0.05):
             return
         await asyncio.sleep(interval_s)
     raise AssertionError("condition not reached in time")
+
+
+def _stream_through(rng, disrupt, pushes=10, block_size=200):
+    """Stream a resilient session pinned to w0; ``disrupt(fleet)`` before push 4.
+
+    Every served column must equal offline compute of the whole trace;
+    returns the client and the fleet's stats.
+    """
+    trace = synthetic_trace(rng, pushes * block_size)
+    expected = compute_spectrogram(trace, config_from_wire(FAST)).power
+
+    async def run():
+        async with running_fleet(workers=2) as fleet:
+            client = ResilientServeClient(
+                "127.0.0.1",
+                fleet.port,
+                session_config=FAST,
+                backoff=BackoffPolicy(max_attempts=12),
+                routing_key=_key_on(fleet, "w0"),
+            )
+            await client.start()
+            for push in range(pushes):
+                if push == 4:
+                    await disrupt(fleet)
+                await client.push(trace[push * block_size : (push + 1) * block_size])
+            await client.close_session()
+            await client.aclose()
+            # A killed w0 restarts: wait, so shutdown reaps a live worker.
+            await _wait_for(
+                lambda: fleet._shards["w0"].handle.alive or fleet._shards["w0"].draining,
+                timeout_s=30.0,
+            )
+            return client, fleet.stats.snapshot()
+
+    client, stats = asyncio.run(run())
+    served = client.served_columns()
+    assert len(served) == len(expected)
+    assert np.array_equal(np.stack([c.power for c in served]), expected)
+    return client, stats
 
 
 class TestDrain:
@@ -101,37 +116,8 @@ class TestDrain:
         asyncio.run(run())
 
     def test_resilient_session_migrates_across_drain_bit_exactly(self, rng):
-        pushes, block_size = 10, 200
-        trace = _trace(rng, pushes * block_size)
-        expected = compute_spectrogram(trace, config_from_wire(FAST)).power
-
-        async def run():
-            async with running_fleet(workers=2) as fleet:
-                key = _key_on(fleet, "w0")
-                client = ResilientServeClient(
-                    "127.0.0.1",
-                    fleet.port,
-                    session_config=FAST,
-                    backoff=BackoffPolicy(max_attempts=12),
-                    routing_key=key,
-                )
-                await client.start()
-                for push in range(pushes):
-                    if push == 4:
-                        await fleet.drain_shard("w0")
-                    block = trace[push * block_size : (push + 1) * block_size]
-                    await client.push(block)
-                await client.close_session()
-                await client.aclose()
-                return client, fleet.stats.snapshot()
-
-        client, stats = asyncio.run(run())
+        client, stats = _stream_through(rng, lambda fleet: fleet.drain_shard("w0"))
         assert client.stats.fleet_migrations >= 1
-        served = client.served_columns()
-        assert len(served) == len(expected)
-        assert np.array_equal(
-            np.stack([c.power for c in served]), expected
-        )
         assert stats["drain_notices"] >= 1
         assert stats["sessions_resumed"] >= 1
 
@@ -169,39 +155,9 @@ class TestCrash:
         asyncio.run(run())
 
     def test_resilient_session_survives_worker_kill_bit_exactly(self, rng):
-        pushes, block_size = 10, 200
-        trace = _trace(rng, pushes * block_size)
-        expected = compute_spectrogram(trace, config_from_wire(FAST)).power
+        async def kill(fleet):
+            fleet._shards["w0"].handle.kill()
 
-        async def run():
-            async with running_fleet(workers=2) as fleet:
-                key = _key_on(fleet, "w0")
-                client = ResilientServeClient(
-                    "127.0.0.1",
-                    fleet.port,
-                    session_config=FAST,
-                    backoff=BackoffPolicy(max_attempts=12),
-                    routing_key=key,
-                )
-                await client.start()
-                for push in range(pushes):
-                    if push == 4:
-                        fleet._shards["w0"].handle.kill()
-                    block = trace[push * block_size : (push + 1) * block_size]
-                    await client.push(block)
-                await client.close_session()
-                await client.aclose()
-                # Wait out the restart so shutdown reaps a live worker.
-                await _wait_for(
-                    lambda: fleet._shards["w0"].handle.alive, timeout_s=30.0
-                )
-                return client, fleet.stats.snapshot()
-
-        client, stats = asyncio.run(run())
-        served = client.served_columns()
-        assert len(served) == len(expected)
-        assert np.array_equal(
-            np.stack([c.power for c in served]), expected
-        )
+        client, stats = _stream_through(rng, kill)
         assert client.stats.fleet_migrations + client.stats.reconnects >= 1
         assert stats["worker_restarts"] >= 1

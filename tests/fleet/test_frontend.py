@@ -16,11 +16,13 @@ import pytest
 
 from repro.core.tracking import compute_spectrogram
 from repro.errors import ProtocolError, SessionLimitError
-from repro.fleet import FleetConfig, FleetServer, HashRing, run_fleet_load
+from repro.fleet import FleetConfig, FleetServer, HashRing
 from repro.fleet.frontend import _aggregate, merge_snapshots
-from repro.serve import AsyncServeClient, SensingServer, ServeConfig
+from repro.serve import AsyncServeClient, SensingServer, ServeConfig, run_load
 from repro.serve import protocol
 from repro.telemetry.metrics import MetricsRegistry
+
+from tests.helpers import synthetic_trace
 
 FAST = {"window_size": 64, "hop": 16, "subarray_size": 24}
 
@@ -43,17 +45,6 @@ async def _client(fleet):
     client = AsyncServeClient("127.0.0.1", fleet.port)
     await client.connect()
     return client
-
-
-def _synthetic_trace(rng, num_samples=400):
-    n = np.arange(num_samples)
-    return (
-        np.exp(1j * 0.12 * n)
-        + 0.4 * np.exp(-1j * 0.05 * n)
-        + 0.25
-        * (rng.standard_normal(num_samples) + 1j * rng.standard_normal(num_samples))
-        + 0.6
-    )
 
 
 def _keys_per_shard(fleet, count=1):
@@ -89,7 +80,7 @@ class TestRouting:
     def test_streamed_columns_match_offline_bit_for_bit(
         self, rng, fast_tracking_config
     ):
-        trace = _synthetic_trace(rng, num_samples=480)
+        trace = synthetic_trace(rng, num_samples=480)
         offline = compute_spectrogram(trace, fast_tracking_config)
 
         async def run():
@@ -164,7 +155,7 @@ class TestRouting:
     def test_fleet_load_zero_divergence(self):
         async def run():
             async with running_fleet(workers=2) as fleet:
-                return await run_fleet_load(
+                return await run_load(
                     "127.0.0.1",
                     fleet.port,
                     sessions=6,
@@ -192,7 +183,7 @@ class TestTelemetryMerge:
             async with running_fleet(
                 workers=2, telemetry_dir=str(tmp_path)
             ) as fleet:
-                await run_fleet_load(
+                await run_load(
                     "127.0.0.1",
                     fleet.port,
                     sessions=4,
@@ -259,7 +250,7 @@ def test_worker_stats_visible_through_single_worker_fleet(rng):
         async with running_fleet(workers=1) as fleet:
             client = await _client(fleet)
             await client.open_session(config=FAST)
-            trace = _synthetic_trace(rng, num_samples=256)
+            trace = synthetic_trace(rng, num_samples=256)
             await client.push(trace)
             stats = await client.server_stats()
             await client.close_session()
@@ -273,7 +264,7 @@ def test_worker_stats_visible_through_single_worker_fleet(rng):
 
 def test_direct_server_and_fleet_columns_identical(rng, fast_tracking_config):
     """The frontend hop adds nothing: same bytes as a direct session."""
-    trace = _synthetic_trace(rng, num_samples=320)
+    trace = synthetic_trace(rng, num_samples=320)
 
     async def direct():
         server = SensingServer(ServeConfig())

@@ -9,48 +9,14 @@ import json
 import re
 import subprocess
 import sys
-import time
 import urllib.request
-
-import pytest
 
 from repro.telemetry import Telemetry
 
+from tests.helpers import wait_for_line
+
 SERVE_LINE = re.compile(r"^serve: listening on (\S+) port (\d+)$", re.MULTILINE)
 OBSERVE_LINE = re.compile(r"^observe: listening on (\S+) port (\d+)$", re.MULTILINE)
-
-
-def _wait_for(log, pattern, process, timeout=15.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        match = pattern.search(log.read_text())
-        if match:
-            return match
-        if process.poll() is not None:
-            break
-        time.sleep(0.1)
-    raise AssertionError(f"no {pattern.pattern!r} line in: {log.read_text()!r}")
-
-
-@pytest.fixture
-def _spawn(tmp_path):
-    processes = []
-
-    def spawn(*argv):
-        log = tmp_path / f"console-{len(processes)}.log"
-        with log.open("w") as sink:
-            process = subprocess.Popen(
-                [sys.executable, "-m", "repro", *argv],
-                stdout=sink,
-                stderr=subprocess.STDOUT,
-            )
-        processes.append(process)
-        return process, log
-
-    yield spawn
-    for process in processes:
-        process.terminate()
-        process.wait(timeout=10)
 
 
 def _get_json(port, path):
@@ -59,13 +25,13 @@ def _get_json(port, path):
 
 
 class TestServeDashboard:
-    def test_dashboard_port_zero_prints_parseable_line(self, _spawn):
-        process, log = _spawn(
+    def test_dashboard_port_zero_prints_parseable_line(self, spawn_repro):
+        process, log = spawn_repro(
             "serve", "--port", "0", "--duration", "30",
             "--dashboard", "--dashboard-port", "0",
         )
-        assert _wait_for(log, SERVE_LINE, process) is not None
-        match = _wait_for(log, OBSERVE_LINE, process)
+        assert wait_for_line(log, SERVE_LINE, process) is not None
+        match = wait_for_line(log, OBSERVE_LINE, process)
         port = int(match.group(2))
         payload = _get_json(port, "/healthz")
         assert payload["status"] == "ok"
@@ -74,7 +40,7 @@ class TestServeDashboard:
 
 
 class TestObserveReplay:
-    def test_observe_replays_a_recorded_directory(self, _spawn, tmp_path):
+    def test_observe_replays_a_recorded_directory(self, spawn_repro, tmp_path):
         run_dir = tmp_path / "run"
         telemetry = Telemetry(enabled=True, out_dir=run_dir)
         telemetry.events.emit(
@@ -84,13 +50,13 @@ class TestObserveReplay:
         telemetry.metrics.counter("music.windows").inc(3)
         telemetry.flush()
 
-        process, log = _spawn(
+        process, log = spawn_repro(
             "observe", "--telemetry", str(run_dir), "--port", "0",
             "--duration", "30",
         )
-        match = _wait_for(log, OBSERVE_LINE, process)
+        match = wait_for_line(log, OBSERVE_LINE, process)
         port = int(match.group(2))
-        assert _wait_for(
+        assert wait_for_line(
             log, re.compile(r"^observe: replaying 1 events", re.MULTILINE), process
         )
         assert _get_json(port, "/healthz")["mode"] == "replay"

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.chaos import ChaosScheduleConfig
 from repro.observe.wsclient import AsyncWebSocketClient, collect_live
-from repro.serve import AsyncServeClient, run_chaos_load
+from repro.serve import AsyncServeClient, run_load
 from repro.serve.protocol import column_from_wire
 
 from tests.observe.test_gateway import FAST, _noise, running_stack
@@ -79,19 +79,20 @@ class TestChaosUnderObservation:
                     collect_live("127.0.0.1", gateway.port, seconds=60.0)
                 )
                 await asyncio.sleep(0.2)
-                report = await run_chaos_load(
+                report = await run_load(
                     "127.0.0.1",
                     server.port,
                     sessions=3,
                     pushes=8,
                     block_size=120,
+                    chaos_seed=7,
                     chaos_config=ChaosScheduleConfig(rate_scale=1.5),
                     config=FAST,
                 )
                 # The serve-side gate: chaos never corrupted a column.
                 assert report.diverged_columns == 0
                 assert report.all_defined
-                assert report.total_chaos_events > 0
+                assert report.total("chaos_events_applied") > 0
                 collector.cancel()
                 try:
                     summary = await collector

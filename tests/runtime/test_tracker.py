@@ -12,16 +12,7 @@ from repro.core.tracking import compute_spectrogram
 from repro.faults.injector import FaultEvent, FaultKind
 from repro.runtime import StreamingTracker
 
-
-def _synthetic_trace(rng, num_samples=400):
-    """A moving-reflector trace: linear phase ramp plus noise and DC."""
-    n = np.arange(num_samples)
-    return (
-        np.exp(1j * 0.12 * n)
-        + 0.4 * np.exp(-1j * 0.05 * n)
-        + 0.25 * (rng.standard_normal(num_samples) + 1j * rng.standard_normal(num_samples))
-        + 0.6
-    )
+from tests.helpers import synthetic_trace
 
 
 def _push_in_blocks(tracker, samples, block_size):
@@ -44,7 +35,7 @@ class TestGoldenEquivalence:
     def test_clean_trace_matches_offline_bit_for_bit(
         self, rng, fast_tracking_config
     ):
-        samples = _synthetic_trace(rng)
+        samples = synthetic_trace(rng)
         tracker = StreamingTracker(fast_tracking_config)
         columns = _push_in_blocks(tracker, samples, block_size=48)
         offline = compute_spectrogram(samples, fast_tracking_config)
@@ -56,7 +47,7 @@ class TestGoldenEquivalence:
     def test_equivalence_is_block_size_independent(
         self, rng, fast_tracking_config, block_size
     ):
-        samples = _synthetic_trace(rng, num_samples=260)
+        samples = synthetic_trace(rng, num_samples=260)
         tracker = StreamingTracker(
             fast_tracking_config, ring_capacity=max(256, 2 * block_size)
         )
@@ -70,7 +61,7 @@ class TestGoldenEquivalence:
     ):
         # Equivalence must hold on *corrupted* data too: both paths see
         # the same NaN burst and must fall back identically.
-        samples = _synthetic_trace(rng)
+        samples = synthetic_trace(rng)
         event = FaultEvent(
             kind=FaultKind.NAN_BURST, start_s=0.4, duration_s=0.1, magnitude=1.0
         )
@@ -86,7 +77,7 @@ class TestGoldenEquivalence:
         _assert_bit_for_bit(offline, online)
 
     def test_beamforming_path_matches_offline(self, rng, fast_tracking_config):
-        samples = _synthetic_trace(rng)
+        samples = synthetic_trace(rng)
         tracker = StreamingTracker(fast_tracking_config, use_music=False)
         columns = _push_in_blocks(tracker, samples, block_size=64)
         assert all(c.estimator == "beamforming" for c in columns)
@@ -103,7 +94,7 @@ class TestGoldenEquivalence:
             assert np.array_equal(column.power, frame.power)
 
     def test_start_time_offsets_column_times(self, rng, fast_tracking_config):
-        samples = _synthetic_trace(rng, num_samples=200)
+        samples = synthetic_trace(rng, num_samples=200)
         offset_s = 3.5
         tracker = StreamingTracker(fast_tracking_config, start_time_s=offset_s)
         columns = _push_in_blocks(tracker, samples, block_size=64)
@@ -117,7 +108,7 @@ class TestGoldenEquivalence:
 
 class TestTrackerMechanics:
     def test_column_indices_and_start_samples(self, rng, fast_tracking_config):
-        samples = _synthetic_trace(rng, num_samples=200)
+        samples = synthetic_trace(rng, num_samples=200)
         tracker = StreamingTracker(fast_tracking_config)
         columns = _push_in_blocks(tracker, samples, block_size=50)
         hop = fast_tracking_config.hop
@@ -136,7 +127,7 @@ class TestTrackerMechanics:
             StreamingTracker(fast_tracking_config, ring_capacity=32)
 
     def test_reset_restarts_windows_cleanly(self, rng, fast_tracking_config):
-        samples = _synthetic_trace(rng, num_samples=300)
+        samples = synthetic_trace(rng, num_samples=300)
         tracker = StreamingTracker(fast_tracking_config)
         tracker.push(samples[:100])
         tracker.reset()
@@ -154,7 +145,7 @@ class TestTrackerMechanics:
         assert np.array_equal(columns[0].power, frame.power)
 
     def test_metrics_account_for_work(self, rng, fast_tracking_config):
-        samples = _synthetic_trace(rng, num_samples=200)
+        samples = synthetic_trace(rng, num_samples=200)
         tracker = StreamingTracker(fast_tracking_config)
         columns = _push_in_blocks(tracker, samples, block_size=40)
         metrics = tracker.metrics
@@ -179,7 +170,7 @@ class TestSchedulerHooks:
     """The ingest/poll/resolve decomposition the serving layer drives."""
 
     def test_expected_windows_predicts_every_push(self, rng, fast_tracking_config):
-        samples = _synthetic_trace(rng, num_samples=330)
+        samples = synthetic_trace(rng, num_samples=330)
         tracker = StreamingTracker(fast_tracking_config)
         for block_size in [10, 64, 16, 100, 3, 137]:
             block, samples = samples[:block_size], samples[block_size:]
@@ -191,7 +182,7 @@ class TestSchedulerHooks:
     def test_ingest_poll_resolve_equals_push(self, rng, fast_tracking_config):
         from repro.core.tracking import compute_spectrogram_frame
 
-        samples = _synthetic_trace(rng)
+        samples = synthetic_trace(rng)
         pushed = StreamingTracker(fast_tracking_config)
         hooked = StreamingTracker(fast_tracking_config)
         via_push, via_hooks = [], []
@@ -220,7 +211,7 @@ class TestSchedulerHooks:
     def test_pending_windows_are_detached_copies(self, rng, fast_tracking_config):
         # A pending window must stay valid after the ring moves on —
         # the scheduler may estimate it long after later pushes landed.
-        samples = _synthetic_trace(rng, num_samples=200)
+        samples = synthetic_trace(rng, num_samples=200)
         tracker = StreamingTracker(fast_tracking_config)
         tracker.ingest(samples[:100])
         pending = tracker.poll_ready_windows()

@@ -16,18 +16,9 @@ from repro.core.tracking import compute_spectrogram
 from repro.faults.injector import FaultEvent, FaultKind
 from repro.serve import AsyncServeClient, SensingServer, ServeConfig
 
+from tests.helpers import synthetic_trace
+
 FAST = {"window_size": 64, "hop": 16, "subarray_size": 24}
-
-
-def _synthetic_trace(rng, num_samples=400):
-    """A moving-reflector trace: linear phase ramp plus noise and DC."""
-    n = np.arange(num_samples)
-    return (
-        np.exp(1j * 0.12 * n)
-        + 0.4 * np.exp(-1j * 0.05 * n)
-        + 0.25 * (rng.standard_normal(num_samples) + 1j * rng.standard_normal(num_samples))
-        + 0.6
-    )
 
 
 async def _stream_session(port, trace, block_size, config=FAST):
@@ -69,7 +60,7 @@ class TestServedEquivalence:
     def test_concurrent_sessions_match_offline_bit_for_bit(
         self, rng, fast_tracking_config
     ):
-        trace = _synthetic_trace(rng, num_samples=480)
+        trace = synthetic_trace(rng, num_samples=480)
         offline = compute_spectrogram(trace, fast_tracking_config)
         # Different block sizes per session: window completion points
         # interleave, so batches genuinely mix sessions.
@@ -96,7 +87,7 @@ class TestServedEquivalence:
         # Same NaN burst as the tracker golden test: both paths see the
         # corrupted windows and must fall back identically; the serving
         # layer adds JSON transport of non-finite samples on top.
-        trace = _synthetic_trace(rng)
+        trace = synthetic_trace(rng)
         event = FaultEvent(
             kind=FaultKind.NAN_BURST, start_s=0.4, duration_s=0.1, magnitude=1.0
         )
@@ -116,7 +107,7 @@ class TestServedEquivalence:
         """MUSIC and beamforming tenants never contaminate each other."""
         from repro.core.tracking import compute_beamformed_frame
 
-        trace = _synthetic_trace(rng, num_samples=320)
+        trace = synthetic_trace(rng, num_samples=320)
         offline = compute_spectrogram(trace, fast_tracking_config)
 
         async def run():

@@ -17,24 +17,15 @@ from repro.serve import SensingServer, ServeConfig
 from repro.serve.resilient import BackoffPolicy, ResilientServeClient
 from repro.serve.session import config_from_wire
 
+from tests.helpers import synthetic_trace
+
 FAST = {"window_size": 64, "hop": 16, "subarray_size": 24}
-
-
-def _trace(rng, num_samples):
-    n = np.arange(num_samples)
-    return (
-        np.exp(1j * 0.12 * n)
-        + 0.4 * np.exp(-1j * 0.05 * n)
-        + 0.25
-        * (rng.standard_normal(num_samples) + 1j * rng.standard_normal(num_samples))
-        + 0.6
-    )
 
 
 class TestBackendFailover:
     def test_resume_onto_replacement_server_matches_offline(self, rng):
         pushes, block_size = 10, 200
-        trace = _trace(rng, pushes * block_size)
+        trace = synthetic_trace(rng, pushes * block_size)
         expected = compute_spectrogram(trace, config_from_wire(FAST)).power
 
         async def run():
