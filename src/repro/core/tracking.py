@@ -27,6 +27,7 @@ from repro.core.beamforming import (
     element_spacing_m,
     inverse_aoa_spectrum,
 )
+from repro.dsp import pool
 from repro.dsp.backend import DspBackend, active_backend
 from repro.dsp.eig import REASON_OK
 from repro.dsp.windows import sliding_windows
@@ -327,6 +328,9 @@ def estimate_windows_batch(
     backend — the streaming tracker's golden-equivalence contract, and
     what lets the serving scheduler (:mod:`repro.serve.scheduler`)
     stack windows from *different* client sessions into one pass.
+    The same contract lets :func:`repro.dsp.pool.music_batch` cut a
+    large MUSIC stack into one contiguous chunk per core; telemetry is
+    emitted here, on the calling thread, in row order.
 
     On the default ``numpy-float64`` backend the kernel sequence (and
     its telemetry) is the exact pre-backend code path, bit for bit.
@@ -349,7 +353,7 @@ def estimate_windows_batch(
     reasons = np.full(num_windows, "non-finite", dtype=object)
     music_rows = np.flatnonzero(finite)
     if music_rows.size:
-        result = backend.music_batch(windows[music_rows], config)
+        result = pool.music_batch(backend, windows[music_rows], config)
         if telemetry.enabled:
             windows_counter = telemetry.metrics.counter("music.windows")
             for row_values in result.eigenvalues:

@@ -16,6 +16,8 @@ The kernel stack is dispatched through a pluggable backend protocol
 modules above verbatim and stays the default; ``numpy-float32``
 (:mod:`~repro.dsp.backend_f32`) is a budgeted fast path.  Selection
 is per-process (``REPRO_DSP_BACKEND`` / ``repro --dsp-backend``).
+:mod:`~repro.dsp.pool` splits large window stacks into one contiguous
+chunk per core and, once it has, runs the process's BLAS on one thread.
 
 Three contracts hold across the package, per backend:
 

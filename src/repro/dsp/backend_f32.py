@@ -36,6 +36,7 @@ or non-forward-backward covariances take the reference path.
 
 from __future__ import annotations
 
+import threading
 from typing import Any
 
 import numpy as np
@@ -105,6 +106,8 @@ class NumpyFloat32Backend(DspBackend):
 
     def __init__(self) -> None:
         self._steering_memo: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        # Chunks of one stack run on several threads (repro.dsp.pool).
+        self._steering_lock = threading.Lock()
 
     # -- helpers --------------------------------------------------------
 
@@ -135,9 +138,10 @@ class NumpyFloat32Backend(DspBackend):
             np.ascontiguousarray(transformed.real, dtype=np.float32),
             np.ascontiguousarray(transformed.imag, dtype=np.float32),
         )
-        if len(self._steering_memo) >= 16:
-            self._steering_memo.pop(next(iter(self._steering_memo)))
-        self._steering_memo[key] = memo
+        with self._steering_lock:
+            if len(self._steering_memo) >= 16:
+                self._steering_memo.pop(next(iter(self._steering_memo)))
+            self._steering_memo[key] = memo
         return memo
 
     # -- kernel overrides ----------------------------------------------

@@ -455,7 +455,7 @@ class ResilientServeClient:
         self.chaos.record(
             op,
             event.kind,
-            f"dribbled {len(data)} bytes in {len(pieces)} chunks",
+            f"dribbled in {chunk}-byte chunks {event.magnitude:.3g} s apart",
         )
         self.stats.chaos_events_applied += 1
         for offset in pieces:

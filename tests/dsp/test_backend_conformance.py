@@ -13,15 +13,24 @@ three backend contracts:
   ``den_budget_per_m * w'`` per angle and the dominant angle within
   one grid bin on accepted rows;
 * **Batch stability** — a batch of one is bit-identical to the same
-  window inside a larger batch, per backend.
+  window inside a larger batch, per backend, including stacks large
+  enough for :mod:`repro.dsp.pool` to split across threads.
 """
+
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.tracking import TrackingConfig, estimate_windows_batch
+from repro.core.tracking import (
+    TrackingConfig,
+    compute_spectrogram_frame,
+    estimate_windows_batch,
+)
+from repro.dsp import pool
 from repro.dsp.backend import (
     DEFAULT_BACKEND,
     backend_names,
@@ -33,6 +42,8 @@ from repro.dsp.eig import REASON_OK
 WINDOW = 32
 SUBARRAY = 12  # even: exercises the float32 real-transform fast path
 CONFIG = TrackingConfig(window_size=WINDOW, hop=8, subarray_size=SUBARRAY)
+#: Cores the pool is told it has, so the chunking is the same on any host.
+POOL_CORES = 4
 
 
 @st.composite
@@ -66,8 +77,52 @@ def window_stacks(draw):
     return windows
 
 
+def interleaved_stack(music_windows):
+    """``music_windows`` finite windows plus a NaN-burst row after every eighth.
+
+    The finite rows cycle through clean, dead, saturated and tone
+    windows, so a pooled MUSIC stack holds exactly ``music_windows``
+    rows with guard rejections in every chunk.
+    """
+    rng = np.random.default_rng(music_windows)
+    kinds = ("clean", "clean", "dead", "clean", "saturated", "clean", "tone", "clean")
+    rows = []
+    for n in range(music_windows):
+        window = rng.normal(size=WINDOW) + 1j * rng.normal(size=WINDOW)
+        kind = kinds[n % len(kinds)]
+        if kind == "dead":
+            window[:] = 0.0
+        elif kind == "saturated":
+            window[:] = 3.0 + 4.0j
+        elif kind == "tone":
+            window = np.exp(2j * np.pi * rng.uniform(0.05, 0.45) * np.arange(WINDOW))
+        rows.append(window)
+        if n % len(kinds) == len(kinds) - 1:
+            burst = rng.normal(size=WINDOW) + 1j * rng.normal(size=WINDOW)
+            start = n % (WINDOW - 4)
+            burst[start : start + 4] = np.nan
+            rows.append(burst)
+    return np.array(rows)
+
+
 def _finite_rows(windows):
     return np.flatnonzero(np.all(np.isfinite(windows), axis=1))
+
+
+@contextmanager
+def _recorded_chunks(backend):
+    """Record ``(rows, thread name)`` of each ``backend.music_batch`` call."""
+    calls = []
+    music_batch = backend.music_batch
+
+    def recording(windows, config):
+        calls.append((len(windows), threading.current_thread().name))
+        return music_batch(windows, config)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(backend, "music_batch", recording)
+        patch.setattr(pool, "cores", lambda: POOL_CORES)
+        yield calls
 
 
 @pytest.mark.parametrize("name", backend_names())
@@ -118,6 +173,10 @@ def test_accepted_rows_stay_inside_the_budget(name, stack):
 @pytest.mark.parametrize("name", backend_names())
 @settings(max_examples=25, deadline=None)
 @given(stack=window_stacks())
+@example(stack=interleaved_stack(2 * pool.MIN_CHUNK - 1))
+@example(stack=interleaved_stack(2 * pool.MIN_CHUNK))
+@example(stack=interleaved_stack(2 * pool.MIN_CHUNK + 1))
+@example(stack=interleaved_stack(309))  # the 25 s trace's window count
 def test_batch_of_one_is_bit_identical_per_backend(name, stack):
     backend = get_backend(name)
     finite = stack[_finite_rows(stack)]
@@ -130,6 +189,26 @@ def test_batch_of_one_is_bit_identical_per_backend(name, stack):
         assert single.source_counts[0] == batched.source_counts[n]
         assert single.reasons[0] == batched.reasons[n]
         assert np.array_equal(single.eigenvalues[0], batched.eigenvalues[n])
+
+    # The pipeline entry splits a MUSIC stack of 2 * MIN_CHUNK or more
+    # finite windows across the pool; each row must still equal its
+    # own one-window frame.
+    with _recorded_chunks(backend) as calls:
+        power, counts, estimators = estimate_windows_batch(stack, CONFIG, backend=backend)
+    chunks = min(POOL_CORES, len(finite) // pool.MIN_CHUNK)
+    if chunks < 2:
+        assert calls == [(len(finite), threading.current_thread().name)]
+    else:
+        assert sorted(rows for rows, _ in calls) == sorted(
+            len(part) for part in np.array_split(finite, chunks)
+        )
+        pooled = [t for _, t in calls if t.startswith(pool.THREAD_NAME_PREFIX)]
+        assert len(pooled) == chunks - 1
+    for n in range(len(stack)):
+        frame = compute_spectrogram_frame(stack[n], CONFIG, backend=backend)
+        assert np.array_equal(frame.power, power[n])
+        assert frame.num_sources == counts[n]
+        assert frame.estimator == estimators[n]
 
 
 @pytest.mark.parametrize("name", backend_names())

@@ -1,0 +1,180 @@
+"""The DSP thread budget: one BLAS thread, pool threads only for large stacks.
+
+:mod:`repro.dsp.pool` splits stacks of ``2 * MIN_CHUNK`` windows or
+more across a process-wide thread pool and pins every mapped OpenBLAS
+to one thread the first time it does; smaller stacks leave BLAS alone.
+A forked child (a fleet worker) must discard the inherited pool and
+build its own; one that kept it would queue chunks for threads the fork
+did not copy and hang.
+"""
+
+import multiprocessing
+import subprocess
+import sys
+import textwrap
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+
+from repro.core.tracking import TrackingConfig, estimate_windows_batch
+from repro.dsp import pool
+from repro.dsp.backend import get_backend
+
+CONFIG = TrackingConfig(window_size=32, hop=8, subarray_size=12)
+#: Seconds a forked child may take before the test fails it as hung.
+CHILD_TIMEOUT_S = 60.0
+
+
+def _stack(num_windows):
+    rng = np.random.default_rng(num_windows)
+    shape = (num_windows, CONFIG.window_size)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _pool_threads():
+    return sum(
+        t.name.startswith(pool.THREAD_NAME_PREFIX) for t in threading.enumerate()
+    )
+
+
+def _run_forked(target):
+    """Run ``target`` in a forked child, as the fleet starts its workers."""
+    child = multiprocessing.get_context("fork").Process(target=target)
+    child.start()
+    child.join(CHILD_TIMEOUT_S)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail(f"forked child still running after {CHILD_TIMEOUT_S} s")
+    assert child.exitcode == 0
+
+
+def test_every_openblas_runs_one_thread_after_a_pooled_pass(monkeypatch):
+    monkeypatch.setattr(pool, "cores", lambda: 2)
+    estimate_windows_batch(_stack(2 * pool.MIN_CHUNK), CONFIG)
+    counts = pool.blas_thread_counts()
+    if not counts:
+        pytest.skip("no OpenBLAS mapped into this process")
+    assert set(counts.values()) == {1}, counts
+
+
+def test_small_stacks_leave_blas_as_the_process_set_it_up():
+    # A fresh interpreter, as a serve process whose ticks stay small:
+    # this test process may have pinned BLAS already, and a fork would
+    # inherit that.
+    script = textwrap.dedent(
+        """
+        import numpy as np
+
+        from repro.core.tracking import TrackingConfig, estimate_windows_batch
+        from repro.dsp import pool
+
+        config = TrackingConfig(window_size=32, hop=8, subarray_size=12)
+        rng = np.random.default_rng(0)
+
+        def stack(n):
+            return rng.normal(size=(n, 32)) + 1j * rng.normal(size=(n, 32))
+
+        pool.cores = lambda: 2
+        before = pool.blas_thread_counts()
+        estimate_windows_batch(stack(1), config)
+        estimate_windows_batch(stack(2 * pool.MIN_CHUNK - 1), config)
+        assert pool.blas_thread_counts() == before, (before, pool.blas_thread_counts())
+        estimate_windows_batch(stack(2 * pool.MIN_CHUNK), config)
+        assert set(pool.blas_thread_counts().values()) <= {1}, pool.blas_thread_counts()
+        """
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=CHILD_TIMEOUT_S,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_forked_child_runs_its_own_pool_on_one_blas_thread(monkeypatch):
+    monkeypatch.setattr(pool, "cores", lambda: 2)
+    stack = _stack(4 * pool.MIN_CHUNK)
+    expected = estimate_windows_batch(stack, CONFIG)
+    assert _pool_threads() >= 1
+
+    def child():
+        assert _pool_threads() == 0
+        result = estimate_windows_batch(stack, CONFIG)
+        for got, want in zip(result, expected):
+            assert np.array_equal(got, want)
+        assert _pool_threads() == 1
+        assert set(pool.blas_thread_counts().values()) <= {1}
+
+    _run_forked(child)
+
+
+def test_one_window_stack_starts_no_pool_thread(monkeypatch):
+    # Forked so the pool starts out absent, as in a fresh serve process.
+    monkeypatch.setattr(pool, "cores", lambda: 2)
+
+    def child():
+        estimate_windows_batch(_stack(1), CONFIG)
+        estimate_windows_batch(_stack(2 * pool.MIN_CHUNK - 1), CONFIG)
+        assert _pool_threads() == 0
+        estimate_windows_batch(_stack(2 * pool.MIN_CHUNK), CONFIG)
+        assert _pool_threads() == 1
+
+    _run_forked(child)
+
+
+def test_concurrent_callers_share_one_pool_and_keep_exact_rows(monkeypatch):
+    # More calling threads than cores, released together and switching
+    # every microsecond, over more configs than the float32 steering
+    # memo holds: every caller gets its rows bit for bit, and the forked
+    # child builds exactly one pool.
+    monkeypatch.setattr(pool, "cores", lambda: 2)
+    backend = get_backend("numpy-float32")
+    configs = [
+        TrackingConfig(window_size=32, hop=8, subarray_size=12, theta_step_deg=1.0 + 0.05 * k)
+        for k in range(18)
+    ]
+    stack = _stack(2 * pool.MIN_CHUNK)
+    expected = [estimate_windows_batch(stack, c, backend=backend)[0] for c in configs]
+    callers = 6
+
+    def child():
+        built = []
+
+        class CountingExecutor(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        pool.ThreadPoolExecutor = CountingExecutor  # this forked child only
+        release = threading.Barrier(callers)
+        results, errors = {}, []
+
+        def call(first):
+            try:
+                release.wait(CHILD_TIMEOUT_S)
+                for k in range(first, len(configs), callers):
+                    results[k] = estimate_windows_batch(stack, configs[k], backend=backend)[0]
+            except Exception as error:  # surfaced by the assertion below
+                errors.append(error)
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(callers)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(CHILD_TIMEOUT_S)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for k, want in enumerate(expected):
+            assert np.array_equal(results[k], want)
+        assert len(built) == 1
+
+    _run_forked(child)
