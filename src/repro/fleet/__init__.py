@@ -21,7 +21,7 @@ from repro.fleet.frontend import (
     merge_snapshots,
 )
 from repro.fleet.ring import HashRing, stable_hash
-from repro.fleet.worker import WorkerHandle, WorkerSpec, start_worker
+from repro.fleet.worker import WorkerHandle, WorkerSpec
 
 __all__ = [
     "FleetConfig",
@@ -32,5 +32,4 @@ __all__ = [
     "WorkerSpec",
     "merge_snapshots",
     "stable_hash",
-    "start_worker",
 ]

@@ -31,12 +31,15 @@ stack.  The frontend adds only routing-layer behavior:
   the per-shard parts *and* their fold, so fleet-level aggregates are
   provably the sum of the per-shard registries.
 
-Session ids are namespaced ``<shard>:<worker sid>`` toward the client
-(worker counters are per-process, so raw ids could collide across
-shards); the frontend translates the ``session`` field both ways.
-Bulk payloads — packed sample/column arrays — are opaque JSON strings
-to the relay, so the served-vs-offline bit-exactness contract holds
-through the extra hop.
+Each worker mints its session ids in fleet form, ``<shard>:s<n>``, so
+ids never collide across shards and nothing on the relay rewrites
+them.  The relay decodes each client frame once, to route it and to
+answer malformed input with a typed error, then forwards the client's
+line to the shard unchanged.  ``push_blocks`` and ``close_session``
+replies go back as the exact bytes the shard wrote; only the
+``session_opened`` reply is re-encoded, to add ``routing_key`` and
+``shard``.  Packed sample and column arrays therefore cross the extra
+hop untouched, and the served-vs-offline bit-exactness contract holds.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from repro.errors import (
     ShardDrainingError,
     WorkerCrashedError,
 )
-from repro.fleet.ring import DEFAULT_REPLICAS, HashRing
+from repro.fleet.ring import HashRing
 from repro.fleet.worker import WorkerHandle, WorkerSpec
 from repro.serve import protocol
 from repro.serve.client import AsyncServeClient
@@ -66,6 +69,10 @@ from repro.telemetry.context import get_telemetry
 from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = ["FleetConfig", "FleetServer", "FleetStats", "merge_snapshots"]
+
+#: The longest the frontend waits on one shard: a connect, a probe, or
+#: the reply to one relayed request.
+BACKEND_TIMEOUT_S = 30.0
 
 
 @dataclass(frozen=True)
@@ -93,12 +100,10 @@ class FleetConfig:
     port: int = 0
     workers: int = 2
     serve: ServeConfig = field(default_factory=ServeConfig)
-    replicas: int = DEFAULT_REPLICAS
     supervisor_interval_s: float = 0.25
     drain_timeout_s: float = 15.0
     client_idle_timeout_s: float | None = 30.0
     write_timeout_s: float | None = 10.0
-    backend_timeout_s: float = 30.0
     record_dir: str | None = None
     telemetry_dir: str | None = None
     dsp_backend: str | None = None
@@ -136,8 +141,6 @@ class _SessionRoute:
 
     shard: str
     generation: int
-    backend_sid: str
-    routing_key: str
 
 
 class _ShardState:
@@ -235,7 +238,7 @@ class FleetServer:
         self.hub = hub
         self.stats = FleetStats()
         self._shards: dict[str, _ShardState] = {}
-        self._ring = HashRing(replicas=self.config.replicas)
+        self._ring = HashRing()
         self._server: asyncio.AbstractServer | None = None
         self._supervisor: asyncio.Task | None = None
         self._drainers: set[asyncio.Task] = set()
@@ -351,17 +354,14 @@ class FleetServer:
         """One stats/telemetry probe of a shard (fresh connection)."""
         probe = AsyncServeClient("127.0.0.1", state.handle.port)
         try:
-            await asyncio.wait_for(
-                probe.connect(), timeout=self.config.backend_timeout_s
-            )
+            await asyncio.wait_for(probe.connect(), timeout=BACKEND_TIMEOUT_S)
             if what == "stats":
                 reply = await asyncio.wait_for(
-                    probe.server_stats(), timeout=self.config.backend_timeout_s
+                    probe.server_stats(), timeout=BACKEND_TIMEOUT_S
                 )
             else:
                 reply = await asyncio.wait_for(
-                    probe.telemetry_snapshot(),
-                    timeout=self.config.backend_timeout_s,
+                    probe.telemetry_snapshot(), timeout=BACKEND_TIMEOUT_S
                 )
             return reply
         except (
@@ -567,7 +567,7 @@ class FleetServer:
         if state is None or not state.routable:
             # The ring briefly lags membership changes mid-restart;
             # fall back to a deterministic rehash over routable shards.
-            fallback = HashRing(routable, replicas=self.config.replicas)
+            fallback = HashRing(routable)
             state = self._shards[fallback.lookup(routing_key)]
         limit = state.spec.serve.max_sessions
         if state.stats_cache.get("active_sessions", 0) >= limit:
@@ -636,7 +636,7 @@ class _ClientRelay:
                 state.handle.port,
                 limit=self.fleet.config.serve.max_frame_bytes,
             ),
-            timeout=self.fleet.config.backend_timeout_s,
+            timeout=BACKEND_TIMEOUT_S,
         )
         self.backends[key] = (reader, writer)
         return reader, writer
@@ -650,10 +650,8 @@ class _ClientRelay:
         for key in list(self.backends):
             self._drop_backend(key)
 
-    async def _exchange(
-        self, state: _ShardState, frame: dict[str, Any]
-    ) -> bytes:
-        """One request/reply round trip with the shard, raw reply bytes.
+    async def _exchange(self, state: _ShardState, line: bytes) -> bytes:
+        """Send one request line to the shard; return its reply line.
 
         Raises:
             WorkerCrashedError: the backend connection broke mid-cycle.
@@ -661,22 +659,22 @@ class _ClientRelay:
         key = (state.name, state.generation)
         try:
             reader, writer = await self._backend(state)
-            writer.write(protocol.encode_frame(frame))
+            writer.write(line)
             await writer.drain()
-            line = await asyncio.wait_for(
-                reader.readline(), timeout=self.fleet.config.backend_timeout_s
+            reply = await asyncio.wait_for(
+                reader.readline(), timeout=BACKEND_TIMEOUT_S
             )
         except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
             self._drop_backend(key)
             raise WorkerCrashedError(
                 f"shard {state.name} did not answer: {type(exc).__name__}"
             ) from None
-        if not line:
+        if not reply:
             self._drop_backend(key)
             raise WorkerCrashedError(
                 f"shard {state.name} closed the connection mid-request"
             )
-        return line
+        return reply
 
     # -- the loop ------------------------------------------------------
 
@@ -720,10 +718,14 @@ class _ClientRelay:
                     return
                 continue
             fleet.stats.requests_relayed += 1
-            if not await self._handle_frame(frame):
+            if not line.endswith(b"\n"):
+                # A last line can end at EOF without its newline; the
+                # shard must still read one whole line.
+                line += b"\n"
+            if not await self._handle_frame(frame, line):
                 return
 
-    async def _handle_frame(self, frame: dict[str, Any]) -> bool:
+    async def _handle_frame(self, frame: dict[str, Any], line: bytes) -> bool:
         """Answer one client frame; ``False`` ends the connection."""
         fleet = self.fleet
         kind = frame.get("type")
@@ -742,9 +744,9 @@ class _ClientRelay:
             if kind == protocol.TELEMETRY_SNAPSHOT:
                 return await self._send_client(await fleet._telemetry_reply())
             if kind == protocol.OPEN_SESSION:
-                return await self._open_session(frame)
+                return await self._open_session(frame, line)
             if kind in (protocol.PUSH_BLOCKS, protocol.CLOSE_SESSION):
-                return await self._relay_session_frame(frame)
+                return await self._relay_session_frame(frame, line)
             raise ProtocolError(f"unknown frame type {kind!r}")
         except ReproError as exc:
             fleet.stats.relay_errors += 1
@@ -761,7 +763,7 @@ class _ClientRelay:
                 )
             )
 
-    async def _open_session(self, frame: dict[str, Any]) -> bool:
+    async def _open_session(self, frame: dict[str, Any], line: bytes) -> bool:
         fleet = self.fleet
         if fleet.draining:
             raise ServeOverloadError("fleet is shutting down")
@@ -771,34 +773,26 @@ class _ClientRelay:
         if routing_key is None:
             routing_key = f"rk-{next(fleet._key_counter)}"
         state = fleet._route_key(routing_key)
-        forward = dict(frame)
-        forward.pop("routing_key", None)
-        line = await self._exchange(state, forward)
-        reply = protocol.decode_frame(line)
+        # The shard ignores ``routing_key``; the client's line goes as is.
+        reply_line = await self._exchange(state, line)
+        reply = protocol.decode_frame(reply_line)
         if reply.get("type") != protocol.SESSION_OPENED:
             # Typed worker rejection (session limit, bad resume, ...):
             # relay the exact error frame.
-            return await self._send_client_raw(line)
-        backend_sid = str(reply.get("session"))
-        fleet_sid = f"{state.name}:{backend_sid}"
-        self.routes[fleet_sid] = _SessionRoute(
-            shard=state.name,
-            generation=state.generation,
-            backend_sid=backend_sid,
-            routing_key=routing_key,
+            return await self._send_client_raw(reply_line)
+        self.routes[str(reply.get("session"))] = _SessionRoute(
+            shard=state.name, generation=state.generation
         )
         fleet.stats.sessions_routed += 1
         if reply.get("resumed"):
             fleet.stats.sessions_resumed += 1
-        reply["session"] = fleet_sid
         reply["routing_key"] = routing_key
         reply["shard"] = state.name
         return await self._send_client(reply)
 
-    async def _relay_session_frame(self, frame: dict[str, Any]) -> bool:
+    async def _relay_session_frame(self, frame: dict[str, Any], line: bytes) -> bool:
         fleet = self.fleet
         session_id = protocol.require_field(frame, "session")
-        seq = frame.get("seq")
         route = self.routes.get(session_id)
         if route is None:
             raise ProtocolError(
@@ -820,20 +814,12 @@ class _ClientRelay:
                 f"shard {route.shard} is draining; resume to migrate "
                 f"session {session_id}"
             )
-        forward = dict(frame)
-        forward["session"] = route.backend_sid
         try:
-            line = await self._exchange(state, forward)
+            reply = await self._exchange(state, line)
         except WorkerCrashedError:
             self.routes.pop(session_id, None)
             fleet.stats.crash_notices += 1
             raise
         if frame.get("type") == protocol.CLOSE_SESSION:
             self.routes.pop(session_id, None)
-        # Replies carry the worker's own session id; translate it back
-        # before relaying.  Packed arrays are opaque strings to this
-        # round trip, so column payloads stay byte-identical.
-        reply = protocol.decode_frame(line)
-        if "session" in reply:
-            reply["session"] = session_id
-        return await self._send_client(reply)
+        return await self._send_client_raw(reply)

@@ -26,7 +26,7 @@ from typing import Any
 
 from repro.serve.server import SensingServer, ServeConfig
 
-__all__ = ["WorkerSpec", "WorkerHandle", "start_worker"]
+__all__ = ["WorkerSpec", "WorkerHandle"]
 
 #: How long the parent waits for a freshly started worker to report
 #: its bound port before declaring the start failed.
@@ -44,8 +44,10 @@ class WorkerSpec:
 
     Attributes:
         name: stable shard name — the identity the hash ring places
-            points for.  A restarted worker keeps its predecessor's
-            name, so the assignment function survives crashes.
+            points for, and the prefix of the ``<name>:s<n>`` session
+            ids the worker mints.  A restarted worker keeps its
+            predecessor's name, so the assignment function survives
+            crashes.
         serve: the worker's :class:`ServeConfig`.  ``port`` should be 0
             (ephemeral) and ``idle_timeout_s`` ``None`` — the frontend
             holds pooled connections open between relays, and the
@@ -93,7 +95,7 @@ async def _serve(spec: WorkerSpec, conn: Connection) -> None:
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     loop.add_signal_handler(signal.SIGTERM, stop.set)
-    server = SensingServer(spec.serve)
+    server = SensingServer(spec.serve, shard=spec.name)
     try:
         port = await server.start()
     except OSError as exc:
@@ -191,10 +193,3 @@ class WorkerHandle:
             await asyncio.sleep(0.02)
         if not self.process.is_alive():
             self.process.join(timeout=0)
-
-
-async def start_worker(spec: WorkerSpec) -> WorkerHandle:
-    """Boot one shard and return its handle once the port is known."""
-    handle = WorkerHandle(spec)
-    await handle.start()
-    return handle

@@ -137,9 +137,17 @@ class SensingServer:
     """Serve many concurrent Wi-Vi sessions over micro-batched DSP."""
 
     def __init__(
-        self, config: ServeConfig | None = None, chaos: Any = None, hub: Any = None
+        self,
+        config: ServeConfig | None = None,
+        chaos: Any = None,
+        hub: Any = None,
+        shard: str | None = None,
     ):
         self.config = config if config is not None else ServeConfig()
+        #: Session-id prefix.  A fleet worker passes its shard name and
+        #: mints ``<shard>:s<n>``, unique across the fleet's processes,
+        #: so the routing frontend relays its replies byte for byte.
+        self._id_prefix = f"{shard}:" if shard is not None else ""
         #: Optional :class:`repro.chaos.ServerChaos` — injects stalled
         #: ticks (inside the scheduler) and delayed replies (here).
         self.chaos = chaos
@@ -485,7 +493,7 @@ class SensingServer:
             raise ProtocolError("resumable must be a boolean")
         checkpoint = frame.get("resume")
         self._session_counter += 1
-        session_id = f"s{self._session_counter}"
+        session_id = f"{self._id_prefix}s{self._session_counter}"
         if checkpoint is not None:
             session = ServeSession.resume(
                 session_id=session_id,

@@ -18,7 +18,7 @@ are handed to the cross-session micro-batching scheduler
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -97,6 +97,14 @@ class SessionStats:
     columns_out: int = 0
     detections: int = 0
     shed_requests: int = 0
+
+    def snapshot(self) -> dict[str, int]:
+        """The counters by name, in field order."""
+        return {name: getattr(self, name) for name in STATS_FIELDS}
+
+
+#: :class:`SessionStats`' field names, in declaration order.
+STATS_FIELDS = tuple(f.name for f in fields(SessionStats))
 
 
 @dataclass
@@ -190,13 +198,7 @@ class ServeSession:
             "tracker": protocol.tracker_checkpoint_to_wire(self.tracker.checkpoint()),
             "health": self.condition.machine.snapshot_state(),
             "bad_blocks": self.condition.bad_block_count,
-            "stats": {
-                "pushes": self.stats.pushes,
-                "samples_in": self.stats.samples_in,
-                "columns_out": self.stats.columns_out,
-                "detections": self.stats.detections,
-                "shed_requests": self.stats.shed_requests,
-            },
+            "stats": self.stats.snapshot(),
             "last_seq": self.last_seq,
         }
 
@@ -236,13 +238,7 @@ class ServeSession:
             stats = checkpoint.get("stats", {})
             if not isinstance(stats, dict):
                 raise ValueError("stats must be a JSON object")
-            for name in (
-                "pushes",
-                "samples_in",
-                "columns_out",
-                "detections",
-                "shed_requests",
-            ):
+            for name in STATS_FIELDS:
                 setattr(session.stats, name, int(stats.get(name, 0)))
             last_seq = checkpoint.get("last_seq", 0)
             if isinstance(last_seq, bool) or not isinstance(last_seq, int):
@@ -382,11 +378,7 @@ class ServeSession:
             "window_size": self.config.window_size,
             "hop": self.config.hop,
             "last_seq": self.last_seq,
-            "pushes": self.stats.pushes,
-            "samples_in": self.stats.samples_in,
-            "columns_out": self.stats.columns_out,
-            "detections": self.stats.detections,
-            "shed_requests": self.stats.shed_requests,
+            **self.stats.snapshot(),
             "bad_blocks": self.condition.bad_block_count,
             "ring_dropped_samples": self.tracker.ring.dropped_sample_count,
             "recording": self.recorder is not None,
@@ -398,10 +390,6 @@ class ServeSession:
         self.closed = True
         return {
             "session": self.id,
-            "pushes": self.stats.pushes,
-            "samples_in": self.stats.samples_in,
-            "columns_out": self.stats.columns_out,
-            "detections": self.stats.detections,
-            "shed_requests": self.stats.shed_requests,
+            **self.stats.snapshot(),
             "health": self.health.value,
         }

@@ -9,11 +9,14 @@ equivalence gate: columns served *through* the frontend are
 """
 
 import asyncio
+import json
+from collections import Counter
 from contextlib import asynccontextmanager
 
 import numpy as np
 import pytest
 
+from repro.capture.store import CaptureStore
 from repro.core.tracking import compute_spectrogram
 from repro.errors import ProtocolError, SessionLimitError
 from repro.fleet import FleetConfig, FleetServer, HashRing
@@ -49,10 +52,7 @@ async def _client(fleet):
 
 def _keys_per_shard(fleet, count=1):
     """Routing keys grouped by the shard the fleet's own ring picks."""
-    ring = HashRing(
-        [f"w{i}" for i in range(fleet.config.workers)],
-        replicas=fleet.config.replicas,
-    )
+    ring = HashRing([f"w{i}" for i in range(fleet.config.workers)])
     keys: dict[str, list[str]] = {name: [] for name in ring.shards}
     i = 0
     while any(len(bucket) < count for bucket in keys.values()):
@@ -87,11 +87,11 @@ class TestRouting:
             async with running_fleet(workers=2) as fleet:
                 client = await _client(fleet)
                 await client.open_session(config=FAST)
-                # Session ids are namespaced <shard>:<worker sid>, and
-                # the minted routing key is echoed for resumes.
-                shard, _, backend_sid = str(client.session_id).partition(":")
+                # Shards mint fleet session ids, <shard>:s<n>, and the
+                # minted routing key is echoed for resumes.
+                shard, _, local_sid = str(client.session_id).partition(":")
                 assert shard in ("w0", "w1")
-                assert backend_sid
+                assert local_sid.startswith("s")
                 assert client.routing_key is not None
                 columns = []
                 for offset in range(0, len(trace), 96):
@@ -173,6 +173,108 @@ class TestRouting:
             s["columns_served"] for s in report.server_stats["shards"]
         ]
         assert sum(served_per_shard) == report.columns
+
+
+async def _raw_connection(fleet):
+    """A client speaking the wire with ``json`` alone, not ``protocol``."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", fleet.port)
+
+    async def ask(frame):
+        writer.write(json.dumps(frame).encode() + b"\n")
+        await writer.drain()
+        return json.loads(await reader.readline())
+
+    return reader, writer, ask
+
+
+class TestByteRelay:
+    def test_session_traffic_is_forwarded_not_reencoded(self, rng, monkeypatch):
+        """Each push or close costs the frontend one decode, no encode."""
+        trace = synthetic_trace(rng, num_samples=480)
+
+        async def run():
+            # No supervisor probe runs during the test, so every
+            # protocol call counted below is the relay's own.
+            async with running_fleet(
+                workers=2, supervisor_interval_s=3600.0
+            ) as fleet:
+                _, writer, ask = await _raw_connection(fleet)
+                opened = await ask({"type": protocol.OPEN_SESSION, "config": FAST})
+                sid = opened["session"]
+                frames = [
+                    {
+                        "type": protocol.PUSH_BLOCKS,
+                        "session": sid,
+                        "seq": seq,
+                        "samples": protocol.encode_samples(trace[i : i + 96]),
+                    }
+                    for seq, i in enumerate(range(0, len(trace), 96), start=1)
+                ]
+                frames.append({"type": protocol.CLOSE_SESSION, "session": sid})
+                calls = Counter()
+                for name in ("encode_frame", "decode_frame"):
+
+                    def counting(*args, _real=getattr(protocol, name), _name=name):
+                        calls[_name] += 1
+                        return _real(*args)
+
+                    monkeypatch.setattr(protocol, name, counting)
+                replies = [await ask(frame) for frame in frames]
+                counts = dict(calls)
+                writer.close()
+                return opened, replies, counts
+
+        opened, replies, counts = asyncio.run(run())
+        assert opened["session"].startswith(f"{opened['shard']}:s")
+        assert [r["type"] for r in replies] == [
+            protocol.SPECTROGRAM_COLUMNS
+        ] * 5 + [protocol.SESSION_CLOSED]
+        assert all(r["session"] == opened["session"] for r in replies)
+        assert counts == {"decode_frame": len(replies)}
+
+    def test_last_line_without_newline_reaches_the_shard_whole(self):
+        """A frame cut off by EOF is answered now, not after a timeout."""
+
+        async def run():
+            async with running_fleet(workers=1) as fleet:
+                reader, writer, ask = await _raw_connection(fleet)
+                opened = await ask({"type": protocol.OPEN_SESSION, "config": FAST})
+                close = {"type": protocol.CLOSE_SESSION, "session": opened["session"]}
+                writer.write(json.dumps(close).encode())
+                writer.write_eof()
+                line = await asyncio.wait_for(reader.readline(), timeout=10.0)
+                writer.close()
+                return opened, json.loads(line)
+
+        opened, closed = asyncio.run(run())
+        assert closed["type"] == protocol.SESSION_CLOSED
+        assert closed["session"] == opened["session"]
+
+    def test_recordings_carry_the_ids_clients_were_given(self, tmp_path, rng):
+        """Shards sharing one capture store tag captures with fleet ids."""
+        trace = synthetic_trace(rng, num_samples=256)
+
+        async def run():
+            async with running_fleet(workers=2, record_dir=str(tmp_path)) as fleet:
+                given = []
+                for key, *_rest in _keys_per_shard(fleet).values():
+                    client = await _client(fleet)
+                    given.append(
+                        await client.open_session(config=FAST, routing_key=key)
+                    )
+                    await client.push(trace)
+                    await client.close_session()
+                    await client.aclose()
+                return given
+
+        given = asyncio.run(run())
+        store = CaptureStore(tmp_path)
+        tagged = [
+            store.open(info.capture_id).header.extra["session"]
+            for info in store.list_captures(audit=False)
+        ]
+        assert sorted(tagged) == sorted(given)
+        assert len(set(given)) == 2
 
 
 class TestTelemetryMerge:
@@ -272,23 +374,26 @@ def test_direct_server_and_fleet_columns_identical(rng, fast_tracking_config):
         try:
             client = AsyncServeClient("127.0.0.1", server.port)
             await client.connect()
-            await client.open_session(config=FAST)
+            session_id = await client.open_session(config=FAST)
             reply = await client.push(trace)
             await client.aclose()
-            return reply.columns
+            return session_id, reply.columns
         finally:
             await server.shutdown()
 
     async def fleeted():
         async with running_fleet(workers=2) as fleet:
             client = await _client(fleet)
-            await client.open_session(config=FAST)
+            session_id = await client.open_session(config=FAST)
             reply = await client.push(trace)
             await client.aclose()
-            return reply.columns
+            return session_id, reply.columns
 
-    direct_cols = asyncio.run(direct())
-    fleet_cols = asyncio.run(fleeted())
+    direct_sid, direct_cols = asyncio.run(direct())
+    fleet_sid, fleet_cols = asyncio.run(fleeted())
+    # A bare server mints s<n>; a fleet shard prefixes its name.
+    assert direct_sid == "s1"
+    assert fleet_sid in ("w0:s1", "w1:s1")
     assert len(direct_cols) == len(fleet_cols)
     for a, b in zip(direct_cols, fleet_cols):
         assert np.array_equal(a.power, b.power)
