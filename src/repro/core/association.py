@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from repro.core.tracking import MotionSpectrogram
 
@@ -43,6 +42,8 @@ def extract_observations(
     The DC stripe is masked; peaks must rise ``threshold_db`` above the
     window floor and sit at least ``min_separation_deg`` apart.
     """
+    from scipy.signal import find_peaks
+
     if max_peaks < 1:
         raise ValueError("max_peaks must be positive")
     db = spectrogram.normalized_db()

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfinv
 
 from repro.constants import GESTURE_SNR_THRESHOLD_DB
 from repro.core.tracking import MotionSpectrogram
@@ -140,6 +139,8 @@ def robust_noise_sigma(values: np.ndarray, quiet_quantile: float = 0.3) -> float
     ``P(|x| < q) = quantile`` gives ``q = sigma * sqrt(2) *
     erfinv(quantile)``.
     """
+    from scipy.special import erfinv
+
     if not 0.0 < quiet_quantile < 0.5:
         raise ValueError("quiet quantile must be in (0, 0.5)")
     values = np.asarray(values, dtype=float)

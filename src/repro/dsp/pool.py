@@ -14,8 +14,11 @@ rows, bit for bit.  This module does both halves:
   runs the first chunk and a lazily created process-wide thread pool
   the rest (numpy releases the GIL inside ``matmul`` and ``eigh``).
 * :func:`pin_blas` sets every OpenBLAS mapped into the process to one
-  thread, once per process, the first time a stack is split, so the
-  chunks do not also fan out inside BLAS.
+  thread whenever a stack is split, so the chunks do not also fan out
+  inside BLAS.  numpy's library maps when numpy is imported; scipy's
+  maps on the first ``find_peaks`` or ``erfinv`` call, which can come
+  after the first split, so each split pins whatever has mapped since
+  the last one.
 
 Smaller stacks — a streaming frame, a serve tick of a few windows —
 run inline, start no thread and leave BLAS as the process set it up:
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import fields
@@ -47,7 +51,8 @@ MIN_CHUNK = 32
 THREAD_NAME_PREFIX = "repro-dsp"
 
 _lock = threading.Lock()
-_pinned = False
+#: ``len(sys.modules)`` when :func:`pin_blas` last scanned; -1 before.
+_pinned_at = -1
 _pool: ThreadPoolExecutor | None = None
 
 
@@ -98,12 +103,18 @@ def _entry_point(library: ctypes.CDLL, verb: str) -> Any:
 
 
 def pin_blas() -> None:
-    """Set every OpenBLAS mapped into the process to one thread, once."""
-    global _pinned
-    if _pinned:
+    """Set every OpenBLAS mapped into the process to one thread.
+
+    Every library this program maps arrives by an import, so the
+    ``/proc/self/maps`` scan reruns only when ``sys.modules`` has changed
+    since the last one; otherwise the call costs one ``len``.
+    """
+    global _pinned_at
+    modules = len(sys.modules)
+    if modules == _pinned_at:
         return
     with _lock:
-        if _pinned:
+        if modules == _pinned_at:
             return
         for library in _openblas_libraries().values():
             setter = _entry_point(library, "set")
@@ -111,7 +122,7 @@ def pin_blas() -> None:
                 setter.argtypes = [ctypes.c_int]
                 setter.restype = None
                 setter(1)
-        _pinned = True
+        _pinned_at = modules
 
 
 def blas_thread_counts() -> dict[str, int]:

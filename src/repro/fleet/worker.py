@@ -8,9 +8,9 @@ bound port over a one-shot pipe handshake, then talks plain wire
 protocol; worker shutdown is a SIGTERM that triggers the server's own
 graceful drain.
 
-Fork (where available) keeps worker start cheap — the numpy/scipy
-import cost is paid once in the parent — and the spec stays picklable
-so the spawn fallback works on platforms without fork.
+Fork (where available) keeps worker start cheap — the numpy import
+cost is paid once in the parent — and the spec stays picklable so the
+spawn fallback works on platforms without fork.
 """
 
 from __future__ import annotations

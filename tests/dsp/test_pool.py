@@ -2,7 +2,7 @@
 
 :mod:`repro.dsp.pool` splits stacks of ``2 * MIN_CHUNK`` windows or
 more across a process-wide thread pool and pins every mapped OpenBLAS
-to one thread the first time it does; smaller stacks leave BLAS alone.
+to one thread each time it does; smaller stacks leave BLAS alone.
 A forked child (a fleet worker) must discard the inherited pool and
 build its own; one that kept it would queue chunks for threads the fork
 did not copy and hang.
@@ -82,6 +82,14 @@ def test_small_stacks_leave_blas_as_the_process_set_it_up():
         estimate_windows_batch(stack(1), config)
         estimate_windows_batch(stack(2 * pool.MIN_CHUNK - 1), config)
         assert pool.blas_thread_counts() == before, (before, pool.blas_thread_counts())
+        estimate_windows_batch(stack(2 * pool.MIN_CHUNK), config)
+        assert set(pool.blas_thread_counts().values()) <= {1}, pool.blas_thread_counts()
+
+        # Gesture decoding loads scipy, and with it any OpenBLAS of its
+        # own, after that first split: the next split pins it too.
+        from repro.core.gestures import robust_noise_sigma
+
+        robust_noise_sigma(rng.normal(size=100))
         estimate_windows_batch(stack(2 * pool.MIN_CHUNK), config)
         assert set(pool.blas_thread_counts().values()) <= {1}, pool.blas_thread_counts()
         """
