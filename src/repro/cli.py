@@ -56,6 +56,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import contextlib
+import math
 import signal
 
 import numpy as np
@@ -84,6 +85,19 @@ from repro.telemetry.output import OutputWriter, configure_cli_logging
 
 #: The CLI's single output writer (see module docstring).
 out = OutputWriter()
+
+
+def _duration(text: str) -> float:
+    """``--duration``: a positive, finite number of seconds."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number of seconds, got {text}"
+        )
+    return value
 
 
 def _add_seed(parser: argparse.ArgumentParser) -> None:
@@ -396,18 +410,22 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """Run the multi-session sensing service until stopped."""
     from repro.serve import SchedulerConfig, SensingServer, ServeConfig
 
-    config = ServeConfig(
-        host=args.host,
-        port=args.port,
-        max_sessions=args.max_sessions,
-        idle_timeout_s=args.idle_timeout if args.idle_timeout > 0 else None,
-        write_timeout_s=args.write_timeout if args.write_timeout > 0 else None,
-        scheduler=SchedulerConfig(
-            max_batch_windows=args.max_batch_windows,
-            queue_capacity=args.queue_capacity,
-        ),
-        record_dir=args.record,
-    )
+    try:
+        config = ServeConfig(
+            host=args.host,
+            port=args.port,
+            max_sessions=args.max_sessions,
+            idle_timeout_s=args.idle_timeout if args.idle_timeout > 0 else None,
+            write_timeout_s=args.write_timeout if args.write_timeout > 0 else None,
+            scheduler=SchedulerConfig(
+                max_batch_windows=args.max_batch_windows,
+                queue_capacity=args.queue_capacity,
+            ),
+            record_dir=args.record,
+        )
+    except ValueError as exc:
+        out.error(f"repro: error: {exc}")
+        return 2
     chaos = None
     if args.chaos_seed is not None:
         from repro.chaos import ChaosSchedule, ChaosScheduleConfig, ServerChaos
@@ -474,26 +492,30 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     from repro.fleet import FleetConfig, FleetServer
     from repro.serve import SchedulerConfig, ServeConfig
 
-    config = FleetConfig(
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        serve=ServeConfig(
-            max_sessions=args.max_sessions,
-            write_timeout_s=args.write_timeout if args.write_timeout > 0 else None,
-            scheduler=SchedulerConfig(
-                max_batch_windows=args.max_batch_windows,
-                queue_capacity=args.queue_capacity,
+    try:
+        config = FleetConfig(
+            host=args.host,
+            port=args.port,
+            workers=args.workers,
+            serve=ServeConfig(
+                max_sessions=args.max_sessions,
+                write_timeout_s=args.write_timeout if args.write_timeout > 0 else None,
+                scheduler=SchedulerConfig(
+                    max_batch_windows=args.max_batch_windows,
+                    queue_capacity=args.queue_capacity,
+                ),
             ),
-        ),
-        client_idle_timeout_s=(
-            args.idle_timeout if args.idle_timeout > 0 else None
-        ),
-        drain_timeout_s=args.drain_timeout,
-        record_dir=args.record,
-        telemetry_dir=getattr(args, "telemetry", None),
-        dsp_backend=args.dsp_backend,
-    )
+            client_idle_timeout_s=(
+                args.idle_timeout if args.idle_timeout > 0 else None
+            ),
+            drain_timeout_s=args.drain_timeout,
+            record_dir=args.record,
+            telemetry_dir=getattr(args, "telemetry", None),
+            dsp_backend=args.dsp_backend,
+        )
+    except ValueError as exc:
+        out.error(f"repro: error: {exc}")
+        return 2
 
     async def run() -> int:
         stop = _stop_on_signals()
@@ -863,7 +885,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     track = commands.add_parser("track", help="image movers behind a wall")
     track.add_argument("--humans", type=int, default=1)
-    track.add_argument("--duration", type=float, default=8.0)
+    track.add_argument("--duration", type=_duration, default=8.0)
     track.add_argument(
         "--inject-faults",
         action="store_true",
@@ -883,7 +905,7 @@ def build_parser() -> argparse.ArgumentParser:
         "stream", help="image movers online, column by column"
     )
     stream.add_argument("--humans", type=int, default=1)
-    stream.add_argument("--duration", type=float, default=8.0)
+    stream.add_argument("--duration", type=_duration, default=8.0)
     stream.add_argument(
         "--block-size",
         type=int,
@@ -930,7 +952,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     count = commands.add_parser("count", help="count occupants behind a wall")
     count.add_argument("--max-humans", type=int, default=3)
-    count.add_argument("--duration", type=float, default=15.0)
+    count.add_argument("--duration", type=_duration, default=15.0)
     count.add_argument("--train-trials", type=int, default=3)
     _add_seed(count)
     _add_observability(count)
@@ -954,7 +976,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     export.add_argument("output", nargs="?", default="spectrogram.ppm")
     export.add_argument("--humans", type=int, default=1)
-    export.add_argument("--duration", type=float, default=8.0)
+    export.add_argument("--duration", type=_duration, default=8.0)
     export.add_argument("--gray", action="store_true", help="PGM instead of PPM")
     _add_seed(export)
     _add_observability(export)
@@ -969,7 +991,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--duration",
-        type=float,
+        type=_duration,
         default=None,
         help="self-terminate after this many seconds (default: run forever)",
     )
@@ -1043,7 +1065,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--duration",
-        type=float,
+        type=_duration,
         default=None,
         help="self-terminate after this many seconds (default: run forever)",
     )
@@ -1123,7 +1145,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     observe.add_argument(
         "--duration",
-        type=float,
+        type=_duration,
         default=None,
         help="self-terminate after this many seconds (default: run forever)",
     )
@@ -1194,7 +1216,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--store", default="captures", help="capture store directory"
     )
     record.add_argument("--humans", type=int, default=1)
-    record.add_argument("--duration", type=float, default=8.0)
+    record.add_argument("--duration", type=_duration, default=8.0)
     record.add_argument(
         "--block-size", type=int, default=64, help="samples per streamed block"
     )

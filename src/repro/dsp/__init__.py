@@ -17,7 +17,8 @@ modules above verbatim and stays the default; ``numpy-float32``
 (:mod:`~repro.dsp.backend_f32`) is a budgeted fast path.  Selection
 is per-process (``REPRO_DSP_BACKEND`` / ``repro --dsp-backend``).
 :mod:`~repro.dsp.pool` splits large window stacks into one contiguous
-chunk per core and, once it has, runs the process's BLAS on one thread.
+chunk per core, and every DSP pass, of any size, first sets the
+process's BLAS to one thread (:mod:`~repro.dsp.blas`).
 
 Three contracts hold across the package, per backend:
 

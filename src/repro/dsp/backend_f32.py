@@ -48,6 +48,7 @@ from repro.dsp.backend import (
     get_backend,
     register_backend,
 )
+from repro.dsp.blas import pin_blas
 from repro.dsp.eig import REASON_OK
 from repro.dsp.steering import steering_matrix
 from repro.dsp.windows import subarray_view
@@ -147,6 +148,10 @@ class NumpyFloat32Backend(DspBackend):
     # -- kernel overrides ----------------------------------------------
 
     def beamform_batch(self, windows: np.ndarray, steering: np.ndarray) -> np.ndarray:
+        # The fallback of a pass whose windows were all non-finite runs
+        # no MUSIC, so this projection pins BLAS itself, as
+        # spectrum.beamform_batch does.
+        pin_blas()
         windows = np.asarray(windows).astype(np.complex64, copy=False)
         steering = np.asarray(steering).astype(np.complex64, copy=False)
         projected = np.matmul(steering.conj(), windows[:, :, np.newaxis])[:, :, 0]

@@ -1,40 +1,28 @@
 """One DSP compute thread per core.
 
-Every BLAS call in the kernel stack is small — a w' x w' ``eigh``
-(32 x 32 at the default config) or a (num_angles, w') projection — so
-OpenBLAS's own threads add CPU time and no throughput.  The DSP's real
-parallelism is across windows: by the batch-stability contract each
-window's result is independent of the batch it rides in, so a stack
-cut into contiguous chunks and run on separate cores gives the same
-rows, bit for bit.  This module does both halves:
+The DSP's parallelism is across windows, not inside BLAS (every BLAS
+call in the kernel stack is small; see :mod:`repro.dsp.blas`): by the
+batch-stability contract each window's result is independent of the
+batch it rides in, so a stack cut into contiguous chunks and run on
+separate cores gives the same rows, bit for bit.
 
-* :func:`music_batch` runs a backend's fused MUSIC pass over a stack.
-  A stack of at least ``2 * MIN_CHUNK`` windows is cut into at most
-  one contiguous chunk per core (:func:`cores`); the calling thread
-  runs the first chunk and a lazily created process-wide thread pool
-  the rest (numpy releases the GIL inside ``matmul`` and ``eigh``).
-* :func:`pin_blas` sets every OpenBLAS mapped into the process to one
-  thread whenever a stack is split, so the chunks do not also fan out
-  inside BLAS.  numpy's library maps when numpy is imported; scipy's
-  maps on the first ``find_peaks`` or ``erfinv`` call, which can come
-  after the first split, so each split pins whatever has mapped since
-  the last one.
-
+:func:`music_batch` runs a backend's fused MUSIC pass over a stack,
+after :func:`~repro.dsp.blas.pin_blas` has set every mapped OpenBLAS to
+one thread.  A stack of at least ``2 * MIN_CHUNK`` windows is cut into
+at most one contiguous chunk per core (:func:`cores`); the calling
+thread runs the first chunk and a lazily created process-wide thread
+pool the rest (numpy releases the GIL inside ``matmul`` and ``eigh``).
 Smaller stacks — a streaming frame, a serve tick of a few windows —
-run inline, start no thread and leave BLAS as the process set it up:
-a process that never splits a stack keeps its library defaults.
+run inline and start no thread.
 
 A forked child (fleet workers, campaign processes) discards the
 inherited pool, whose threads did not survive the fork, and creates
-its own on first use.  The OpenBLAS setting is process memory and is
-inherited as it is.
+its own on first use.
 """
 
 from __future__ import annotations
 
-import ctypes
 import os
-import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import fields
@@ -43,6 +31,7 @@ from typing import Any
 import numpy as np
 
 from repro.dsp.backend import DspBackend, MusicBatchResult
+from repro.dsp.blas import pin_blas
 
 #: Fewest windows a chunk holds: stacks under twice this run inline.
 MIN_CHUNK = 32
@@ -51,8 +40,6 @@ MIN_CHUNK = 32
 THREAD_NAME_PREFIX = "repro-dsp"
 
 _lock = threading.Lock()
-#: ``len(sys.modules)`` when :func:`pin_blas` last scanned; -1 before.
-_pinned_at = -1
 _pool: ThreadPoolExecutor | None = None
 
 
@@ -61,80 +48,6 @@ def cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _openblas_libraries() -> dict[str, ctypes.CDLL]:
-    """Every OpenBLAS shared library mapped into this process, by path.
-
-    Reads ``/proc/self/maps`` (Linux; elsewhere this finds none) and
-    opens each match with ``RTLD_NOLOAD``, so nothing new is loaded.
-    """
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = {line.split(maxsplit=5)[-1].strip() for line in maps}
-    except OSError:
-        return {}
-    libraries = {}
-    for path in sorted(paths):
-        name = os.path.basename(path)
-        if "openblas" not in name.lower() or ".so" not in name:
-            continue
-        try:
-            libraries[path] = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
-        except OSError:
-            continue
-    return libraries
-
-
-def _entry_point(library: ctypes.CDLL, verb: str) -> Any:
-    """A library's own ``openblas_{verb}_num_threads`` C entry point, or None.
-
-    numpy's and scipy's wheels rename the symbols (``scipy_`` prefix,
-    ``64_`` suffix for the ILP64 build numpy uses); plain OpenBLAS
-    keeps the bare name.
-    """
-    for prefix in ("", "scipy_"):
-        for suffix in ("", "64_"):
-            try:
-                return getattr(library, f"{prefix}openblas_{verb}_num_threads{suffix}")
-            except AttributeError:
-                continue
-    return None
-
-
-def pin_blas() -> None:
-    """Set every OpenBLAS mapped into the process to one thread.
-
-    Every library this program maps arrives by an import, so the
-    ``/proc/self/maps`` scan reruns only when ``sys.modules`` has changed
-    since the last one; otherwise the call costs one ``len``.
-    """
-    global _pinned_at
-    modules = len(sys.modules)
-    if modules == _pinned_at:
-        return
-    with _lock:
-        if modules == _pinned_at:
-            return
-        for library in _openblas_libraries().values():
-            setter = _entry_point(library, "set")
-            if setter is not None:
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                setter(1)
-        _pinned_at = modules
-
-
-def blas_thread_counts() -> dict[str, int]:
-    """The thread count each mapped OpenBLAS reports, by library path."""
-    counts = {}
-    for path, library in _openblas_libraries().items():
-        getter = _entry_point(library, "get")
-        if getter is not None:
-            getter.argtypes = []
-            getter.restype = ctypes.c_int
-            counts[path] = getter()
-    return counts
 
 
 def _executor() -> ThreadPoolExecutor:
@@ -164,10 +77,10 @@ def music_batch(backend: DspBackend, windows: np.ndarray, config: Any) -> MusicB
     pass (the batch-stability contract every backend keeps).  The call
     returns only once every chunk has finished, on any outcome.
     """
+    pin_blas()
     chunks = min(cores(), len(windows) // MIN_CHUNK)
     if chunks < 2:
         return backend.music_batch(windows, config)
-    pin_blas()
     parts = np.array_split(windows, chunks)
     pool = _executor()
     futures = [pool.submit(backend.music_batch, part, config) for part in parts[1:]]

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.dsp.blas import pin_blas
+
 
 def music_pseudospectra_batch(
     steering: np.ndarray, eigenvectors: np.ndarray, source_counts: np.ndarray
@@ -61,8 +63,10 @@ def beamform_batch(windows: np.ndarray, steering: np.ndarray) -> np.ndarray:
 
     Each window is its own (num_angles, w) x (w, 1) product inside the
     stacked matmul, so per-window results are independent of batch
-    size.  Returns (n, num_angles) float magnitudes.
+    size.  Every mapped OpenBLAS is set to one thread first
+    (:mod:`repro.dsp.blas`).  Returns (n, num_angles) float magnitudes.
     """
+    pin_blas()
     windows = np.ascontiguousarray(windows, dtype=complex)
     if windows.ndim != 2:
         raise ValueError("windows must be two-dimensional (a stack of windows)")

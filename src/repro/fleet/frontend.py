@@ -110,7 +110,7 @@ class FleetConfig:
 
     def __post_init__(self) -> None:
         if self.workers < 1:
-            raise ValueError("a fleet needs at least one worker")
+            raise ValueError(f"a fleet needs at least one worker, got {self.workers}")
         if self.supervisor_interval_s <= 0:
             raise ValueError("supervisor_interval_s must be positive")
 

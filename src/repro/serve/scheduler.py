@@ -88,9 +88,12 @@ class SchedulerConfig:
 
     def __post_init__(self) -> None:
         if self.max_batch_windows < 1:
-            raise ValueError("max_batch_windows must be positive")
+            raise ValueError(f"max_batch_windows must be positive, got {self.max_batch_windows}")
         if self.queue_capacity < self.max_batch_windows:
-            raise ValueError("queue_capacity must hold at least one full batch")
+            raise ValueError(
+                f"queue_capacity must hold at least one full batch of "
+                f"{self.max_batch_windows} windows, got {self.queue_capacity}"
+            )
         if self.watchdog_timeout_s is not None and self.watchdog_timeout_s <= 0:
             raise ValueError("watchdog_timeout_s must be positive (or None)")
 

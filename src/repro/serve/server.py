@@ -79,7 +79,7 @@ class ServeConfig:
 
     def __post_init__(self) -> None:
         if self.max_sessions < 1:
-            raise ValueError("max_sessions must be positive")
+            raise ValueError(f"max_sessions must be positive, got {self.max_sessions}")
         if self.max_push_samples < 1:
             raise ValueError("max_push_samples must be positive")
         for name in ("idle_timeout_s", "write_timeout_s"):

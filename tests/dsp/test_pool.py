@@ -1,8 +1,8 @@
 """The DSP thread budget: one BLAS thread, pool threads only for large stacks.
 
-:mod:`repro.dsp.pool` splits stacks of ``2 * MIN_CHUNK`` windows or
-more across a process-wide thread pool and pins every mapped OpenBLAS
-to one thread each time it does; smaller stacks leave BLAS alone.
+Every DSP pass, of any size, first pins every mapped OpenBLAS to one
+thread (:mod:`repro.dsp.blas`); :mod:`repro.dsp.pool` splits stacks of
+``2 * MIN_CHUNK`` windows or more across a process-wide thread pool.
 A forked child (a fleet worker) must discard the inherited pool and
 build its own; one that kept it would queue chunks for threads the fork
 did not copy and hang.
@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core.tracking import TrackingConfig, estimate_windows_batch
-from repro.dsp import pool
+from repro.dsp import blas, pool
 from repro.dsp.backend import get_backend
 
 CONFIG = TrackingConfig(window_size=32, hop=8, subarray_size=12)
@@ -54,53 +54,78 @@ def _run_forked(target):
 def test_every_openblas_runs_one_thread_after_a_pooled_pass(monkeypatch):
     monkeypatch.setattr(pool, "cores", lambda: 2)
     estimate_windows_batch(_stack(2 * pool.MIN_CHUNK), CONFIG)
-    counts = pool.blas_thread_counts()
+    counts = blas.blas_thread_counts()
     if not counts:
         pytest.skip("no OpenBLAS mapped into this process")
     assert set(counts.values()) == {1}, counts
 
 
-def test_small_stacks_leave_blas_as_the_process_set_it_up():
-    # A fresh interpreter, as a serve process whose ticks stay small:
-    # this test process may have pinned BLAS already, and a fork would
+def _run_fresh(script):
+    # A fresh interpreter, as a serve or streaming process starts: this
+    # test process may have pinned BLAS already, and a fork would
     # inherit that.
-    script = textwrap.dedent(
-        """
-        import numpy as np
-
-        from repro.core.tracking import TrackingConfig, estimate_windows_batch
-        from repro.dsp import pool
-
-        config = TrackingConfig(window_size=32, hop=8, subarray_size=12)
-        rng = np.random.default_rng(0)
-
-        def stack(n):
-            return rng.normal(size=(n, 32)) + 1j * rng.normal(size=(n, 32))
-
-        pool.cores = lambda: 2
-        before = pool.blas_thread_counts()
-        estimate_windows_batch(stack(1), config)
-        estimate_windows_batch(stack(2 * pool.MIN_CHUNK - 1), config)
-        assert pool.blas_thread_counts() == before, (before, pool.blas_thread_counts())
-        estimate_windows_batch(stack(2 * pool.MIN_CHUNK), config)
-        assert set(pool.blas_thread_counts().values()) <= {1}, pool.blas_thread_counts()
-
-        # Gesture decoding loads scipy, and with it any OpenBLAS of its
-        # own, after that first split: the next split pins it too.
-        from repro.core.gestures import robust_noise_sigma
-
-        robust_noise_sigma(rng.normal(size=100))
-        estimate_windows_batch(stack(2 * pool.MIN_CHUNK), config)
-        assert set(pool.blas_thread_counts().values()) <= {1}, pool.blas_thread_counts()
-        """
-    )
     result = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-c", textwrap.dedent(script)],
         capture_output=True,
         text=True,
         timeout=CHILD_TIMEOUT_S,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_one_window_music_pass_pins_every_openblas():
+    _run_fresh(
+        """
+        import numpy as np
+
+        from repro.core.tracking import TrackingConfig, estimate_windows_batch
+        from repro.dsp.blas import blas_thread_counts
+
+        config = TrackingConfig(window_size=32, hop=8, subarray_size=12)
+        rng = np.random.default_rng(0)
+        window = rng.normal(size=(1, 32)) + 1j * rng.normal(size=(1, 32))
+        estimate_windows_batch(window, config)
+        assert set(blas_thread_counts().values()) <= {1}, blas_thread_counts()
+
+        # Gesture decoding loads scipy, and with it any OpenBLAS of its
+        # own, after that first pass: the next pass pins it too.
+        from repro.core.gestures import robust_noise_sigma
+
+        robust_noise_sigma(rng.normal(size=100))
+        estimate_windows_batch(window, config)
+        assert set(blas_thread_counts().values()) <= {1}, blas_thread_counts()
+        """
+    )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "compute_beamformed_frame(window, config)",
+        # Every window non-finite: the pass runs only the fallback.
+        "estimate_windows_batch(np.full((1, 32), np.nan + 0j), config, "
+        "backend=get_backend('numpy-float32'))",
+    ],
+    ids=["beamformed-frame", "float32-fallback"],
+)
+def test_beamforming_alone_pins_every_openblas(call):
+    # A beamforming-only pass never reaches a MUSIC pass.
+    _run_fresh(
+        f"""
+        import numpy as np
+
+        from repro.core.tracking import (
+            TrackingConfig, compute_beamformed_frame, estimate_windows_batch,
+        )
+        from repro.dsp.backend import get_backend
+        from repro.dsp.blas import blas_thread_counts
+
+        config = TrackingConfig(window_size=32, hop=8, subarray_size=12)
+        window = np.random.default_rng(0).normal(size=32) + 0j
+        {call}
+        assert set(blas_thread_counts().values()) <= {{1}}, blas_thread_counts()
+        """
+    )
 
 
 def test_forked_child_runs_its_own_pool_on_one_blas_thread(monkeypatch):
@@ -115,7 +140,7 @@ def test_forked_child_runs_its_own_pool_on_one_blas_thread(monkeypatch):
         for got, want in zip(result, expected):
             assert np.array_equal(got, want)
         assert _pool_threads() == 1
-        assert set(pool.blas_thread_counts().values()) <= {1}
+        assert set(blas.blas_thread_counts().values()) <= {1}
 
     _run_forked(child)
 

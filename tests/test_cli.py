@@ -297,3 +297,37 @@ def test_dsp_backend_flag_rejects_unknown_name(capsys):
     code = main(["--dsp-backend", "bogus", "backends", "--no-check"])
     assert code == 2
     assert "unknown DSP backend" in capsys.readouterr().err
+
+
+#: Every command taking --duration; servers pick a free port.
+DURATION_COMMANDS = (
+    ["track"], ["stream"], ["count"], ["export"], ["record"],
+    ["serve", "--port", "0"], ["fleet", "--port", "0"],
+    ["observe", "--telemetry", "no-such-run"],
+)
+#: (argv, the bad value the error message must name).
+USAGE_ERRORS = [
+    (command + ["--duration", value], value)
+    for command in DURATION_COMMANDS
+    for value in ("0", "-1")
+] + [
+    (["serve", "--port", "0", "--max-batch-windows", "0"], "0"),
+    (["serve", "--port", "0", "--queue-capacity", "8"], "8"),
+    (["serve", "--port", "0", "--max-sessions", "0"], "0"),
+    (["fleet", "--port", "0", "--workers", "0"], "0"),
+    (["fleet", "--port", "0", "--max-batch-windows", "0"], "0"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, bad", USAGE_ERRORS, ids=[" ".join(argv) for argv, _ in USAGE_ERRORS]
+)
+def test_invalid_numeric_options_are_usage_errors(argv, bad, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exit_:
+        code = exit_.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"got {bad}" in err
+    assert "Traceback" not in err
