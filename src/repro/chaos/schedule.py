@@ -108,8 +108,8 @@ class ChaosScheduleConfig:
             fraction of its bytes (the exact fraction is drawn
             uniformly up to ``truncate_max_fraction`` from the event's
             child generator).
-        slow_loris_delay_s: pause between dribbled chunks.
-        slow_loris_chunk_bytes: bytes per dribbled chunk.
+        slow_loris_delay_s: pause between dribbled chunks (of
+            :data:`repro.serve.resilient.SLOW_LORIS_CHUNK_BYTES` each).
         stall_tick_delay_s: how long a stalled scheduler tick sleeps —
             set it beyond the watchdog timeout to force the serial
             degraded path.
@@ -130,7 +130,6 @@ class ChaosScheduleConfig:
     truncate_min_fraction: float = 0.1
     truncate_max_fraction: float = 0.9
     slow_loris_delay_s: float = 0.005
-    slow_loris_chunk_bytes: int = 64
     stall_tick_delay_s: float = 0.25
     reply_latency_s: float = 0.05
 
@@ -142,8 +141,6 @@ class ChaosScheduleConfig:
             raise ValueError("rate scale must be non-negative")
         if not 0 < self.truncate_min_fraction <= self.truncate_max_fraction < 1:
             raise ValueError("truncate fractions must satisfy 0 < min <= max < 1")
-        if self.slow_loris_chunk_bytes < 1:
-            raise ValueError("slow-loris chunk size must be positive")
         for name in ("slow_loris_delay_s", "stall_tick_delay_s", "reply_latency_s"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")

@@ -87,21 +87,44 @@ from repro.telemetry.output import OutputWriter, configure_cli_logging
 out = OutputWriter()
 
 
-def _duration(text: str) -> float:
-    """``--duration``: a positive, finite number of seconds."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not 0 < value < math.inf:
+def _bounded(kind: type, accept, what: str):
+    """An argparse type: a ``kind`` value that ``accept`` admits, else a usage error."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}"
+            ) from None
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+
+    return parse
+
+
+#: ``--duration``: a positive, finite number of seconds.
+_duration = _bounded(float, lambda v: 0 < v < math.inf, "a positive number of seconds")
+#: ``--max-age``: zero or more seconds.
+_age = _bounded(float, lambda v: 0 <= v < math.inf, "a non-negative number of seconds")
+#: Block sizes, buffer depths, session and push counts.
+_positive_int = _bounded(int, lambda v: v >= 1, "a positive integer")
+#: Head counts, seeds and retention limits, where 0 is meaningful.
+_count = _bounded(int, lambda v: v >= 0, "a non-negative integer")
+
+
+def _material(text: str) -> str:
+    """A wall material the simulator knows (``repro materials`` lists them)."""
+    if text not in MATERIALS:
         raise argparse.ArgumentTypeError(
-            f"must be a positive number of seconds, got {text}"
+            f"must be one of: {', '.join(sorted(MATERIALS))}; got {text}"
         )
-    return value
+    return text
 
 
 def _add_seed(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
+    parser.add_argument("--seed", type=_count, default=0, help="random seed")
 
 
 def _add_observability(parser: argparse.ArgumentParser) -> None:
@@ -884,7 +907,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     track = commands.add_parser("track", help="image movers behind a wall")
-    track.add_argument("--humans", type=int, default=1)
+    track.add_argument("--humans", type=_count, default=1)
     track.add_argument("--duration", type=_duration, default=8.0)
     track.add_argument(
         "--inject-faults",
@@ -893,7 +916,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     track.add_argument(
         "--fault-seed",
-        type=int,
+        type=_count,
         default=0,
         help="seed for the deterministic fault schedule",
     )
@@ -904,17 +927,17 @@ def build_parser() -> argparse.ArgumentParser:
     stream = commands.add_parser(
         "stream", help="image movers online, column by column"
     )
-    stream.add_argument("--humans", type=int, default=1)
+    stream.add_argument("--humans", type=_count, default=1)
     stream.add_argument("--duration", type=_duration, default=8.0)
     stream.add_argument(
         "--block-size",
-        type=int,
+        type=_positive_int,
         default=64,
         help="samples per streamed block",
     )
     stream.add_argument(
         "--max-buffers",
-        type=int,
+        type=_positive_int,
         default=64,
         help="receive-stream depth before overflow drops",
     )
@@ -935,7 +958,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument(
         "--fault-seed",
-        type=int,
+        type=_count,
         default=0,
         help="seed for the deterministic fault schedule",
     )
@@ -951,22 +974,22 @@ def build_parser() -> argparse.ArgumentParser:
     gestures.set_defaults(handler=cmd_gestures)
 
     count = commands.add_parser("count", help="count occupants behind a wall")
-    count.add_argument("--max-humans", type=int, default=3)
+    count.add_argument("--max-humans", type=_positive_int, default=3)
     count.add_argument("--duration", type=_duration, default=15.0)
-    count.add_argument("--train-trials", type=int, default=3)
+    count.add_argument("--train-trials", type=_positive_int, default=3)
     _add_seed(count)
     _add_observability(count)
     count.set_defaults(handler=cmd_count)
 
     materials = commands.add_parser("materials", help="wall-material sweep")
     materials.add_argument("--distance", type=float, default=3.0)
-    materials.add_argument("--materials", nargs="*", default=None)
+    materials.add_argument("--materials", nargs="*", type=_material, default=None)
     _add_seed(materials)
     _add_observability(materials)
     materials.set_defaults(handler=cmd_materials)
 
     nulling = commands.add_parser("nulling", help="run Algorithm 1")
-    nulling.add_argument("--material", default='6" hollow wall')
+    nulling.add_argument("--material", type=_material, default='6" hollow wall')
     _add_seed(nulling)
     _add_observability(nulling)
     nulling.set_defaults(handler=cmd_nulling)
@@ -975,7 +998,7 @@ def build_parser() -> argparse.ArgumentParser:
         "export", help="write the A'[theta, n] image to a PGM/PPM file"
     )
     export.add_argument("output", nargs="?", default="spectrogram.ppm")
-    export.add_argument("--humans", type=int, default=1)
+    export.add_argument("--humans", type=_count, default=1)
     export.add_argument("--duration", type=_duration, default=8.0)
     export.add_argument("--gray", action="store_true", help="PGM instead of PPM")
     _add_seed(export)
@@ -1022,7 +1045,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--chaos-seed",
-        type=int,
+        type=_count,
         default=None,
         help="inject seeded server-side chaos (stalled ticks, slow replies)",
     )
@@ -1167,11 +1190,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     load.add_argument("--host", default="127.0.0.1")
     load.add_argument("--port", type=int, default=9361)
-    load.add_argument("--sessions", type=int, default=8)
-    load.add_argument("--seconds", type=float, default=5.0)
+    load.add_argument("--sessions", type=_positive_int, default=8)
+    load.add_argument("--seconds", type=_duration, default=5.0)
     load.add_argument(
         "--block-size",
-        type=int,
+        type=_positive_int,
         default=400,
         help="complex samples per push request",
     )
@@ -1188,13 +1211,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     load.add_argument(
         "--chaos-seed",
-        type=int,
+        type=_count,
         default=7,
         help="seed of the per-session chaos schedules (chaos mode)",
     )
     load.add_argument(
         "--pushes",
-        type=int,
+        type=_positive_int,
         default=24,
         help="pushes per session with --chaos or --resilient (fixed, for "
         "determinism)",
@@ -1215,10 +1238,10 @@ def build_parser() -> argparse.ArgumentParser:
     record.add_argument(
         "--store", default="captures", help="capture store directory"
     )
-    record.add_argument("--humans", type=int, default=1)
+    record.add_argument("--humans", type=_count, default=1)
     record.add_argument("--duration", type=_duration, default=8.0)
     record.add_argument(
-        "--block-size", type=int, default=64, help="samples per streamed block"
+        "--block-size", type=_positive_int, default=64, help="samples per streamed block"
     )
     record.add_argument(
         "--inject-faults",
@@ -1227,7 +1250,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     record.add_argument(
         "--fault-seed",
-        type=int,
+        type=_count,
         default=0,
         help="seed for the deterministic fault schedule",
     )
@@ -1271,19 +1294,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     captures.add_argument(
         "--max-captures",
-        type=int,
+        type=_count,
         default=None,
         help="prune: keep at most this many sealed captures",
     )
     captures.add_argument(
         "--max-bytes",
-        type=int,
+        type=_count,
         default=None,
         help="prune: keep the store under this many bytes",
     )
     captures.add_argument(
         "--max-age",
-        type=float,
+        type=_age,
         default=None,
         help="prune: drop sealed captures older than this many seconds",
     )

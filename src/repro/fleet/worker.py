@@ -76,9 +76,9 @@ def _worker_main(spec: WorkerSpec, conn: Connection) -> None:
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     if spec.dsp_backend is not None:
-        from repro.dsp.backend import use_backend
+        from repro.dsp.backend import set_active_backend
 
-        use_backend(spec.dsp_backend)
+        set_active_backend(spec.dsp_backend)
     telemetry = None
     if spec.telemetry_dir is not None:
         from repro.telemetry import configure

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
+import math
 import time
 from array import array
 from dataclasses import dataclass, field
@@ -197,7 +198,8 @@ class LoadReport:
 
     def failures(self) -> list[str]:
         """The one verdict: zero divergence, every outcome defined,
-        every session complete.  Empty means the run passed."""
+        every session complete, and some column served.  Empty means
+        the run passed."""
         problems = []
         if self.diverged_columns:
             problems.append(f"{self.diverged_columns} diverged column(s)")
@@ -211,6 +213,8 @@ class LoadReport:
         ]
         if incomplete:
             problems.append(f"incomplete session(s): {incomplete}")
+        if not self.columns:
+            problems.append("no column served, so none was verified")
         return problems
 
     def summary(self) -> dict[str, Any]:
@@ -384,7 +388,18 @@ async def run_load(
     under the stable routing key ``load-<i>`` for exactly that many
     blocks, and ``chaos_seed`` gives it the seeded chaos plan
     ``chaos_seed + i`` over them (the chaos and fleet runs).
+
+    Raises:
+        ValueError: ``sessions``, ``block_size`` or ``pushes`` is below
+            one, ``seconds`` is not a positive finite number, or a chaos
+            plan comes without a fixed push count.
     """
+    counts = (("sessions", sessions), ("block_size", block_size), ("pushes", pushes))
+    for name, value in counts:
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be positive, got {value}")
+    if not 0 < seconds < math.inf:
+        raise ValueError(f"seconds must be a positive number, got {seconds}")
     if chaos_seed is not None and pushes is None:
         raise ValueError("a chaos plan needs a fixed push count")
     tracking = config_from_wire(dict(config) if config else None)

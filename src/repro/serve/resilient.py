@@ -49,6 +49,12 @@ from repro.runtime.tracker import SpectrogramColumn
 from repro.serve import protocol
 from repro.serve.client import AsyncServeClient, ClientStats, PushReply
 
+#: Bytes per chunk of a slow-loris frame (the chaos log names the size).
+SLOW_LORIS_CHUNK_BYTES = 64
+
+#: Retries of one shed push before the overload error propagates.
+SHED_RETRY_LIMIT = 200
+
 
 @dataclass(frozen=True)
 class BackoffPolicy:
@@ -109,8 +115,6 @@ class ResilientServeClient:
         chaos: ClientChaos | None = None,
         backoff: BackoffPolicy | None = None,
         seed: int = 0,
-        slow_loris_chunk_bytes: int = 64,
-        shed_retry_limit: int = 200,
         routing_key: str | None = None,
     ):
         self.host = host
@@ -124,8 +128,6 @@ class ResilientServeClient:
         self.routing_key = routing_key
         self.chaos = chaos
         self.backoff = backoff if backoff is not None else BackoffPolicy()
-        self.slow_loris_chunk_bytes = slow_loris_chunk_bytes
-        self.shed_retry_limit = shed_retry_limit
         # Backoff jitter comes from its own child stream so it never
         # perturbs the chaos plan's draws.
         self._backoff_rng = np.random.default_rng([int(seed), 1_000_003])
@@ -412,7 +414,7 @@ class ResilientServeClient:
                     # same seq until the queue drains.
                     shed_retries += 1
                     self.stats.shed_retries += 1
-                    if shed_retries > self.shed_retry_limit:
+                    if shed_retries > SHED_RETRY_LIMIT:
                         raise
                     await asyncio.sleep(0.01)
                     continue
@@ -450,7 +452,7 @@ class ResilientServeClient:
     ) -> None:
         """Dribble one frame out in small delayed chunks."""
         assert self._client is not None and self.chaos is not None
-        chunk = self.slow_loris_chunk_bytes
+        chunk = SLOW_LORIS_CHUNK_BYTES
         pieces = range(0, len(data), chunk)
         self.chaos.record(
             op,

@@ -10,11 +10,7 @@ from repro.core.tracking import TrackingConfig
 from repro.runtime import BlockSource, DetectStage, StreamingPipeline, StreamingTracker
 from repro.telemetry.context import reset_telemetry
 
-from tests.helpers import synthetic_trace
-
-#: A light config so record/replay tests emit several columns from a
-#: few hundred samples.
-FAST = {"window_size": 64, "hop": 16, "subarray_size": 24}
+from tests.helpers import FAST, synthetic_trace
 
 
 @pytest.fixture(autouse=True)

@@ -16,7 +16,7 @@ from repro.errors import DeviceFailedError
 from repro.serve import AsyncServeClient, SensingServer, ServeConfig
 from repro.serve.session import ServeSession, config_from_wire
 
-FAST = {"window_size": 64, "hop": 16, "subarray_size": 24}
+from tests.helpers import FAST
 
 
 def _nan_block(n=64):

@@ -15,7 +15,8 @@ import pytest
 from repro.chaos import ChaosScheduleConfig
 from repro.serve import SensingServer, ServeConfig, run_load
 
-FAST = {"window_size": 64, "hop": 16, "subarray_size": 24}
+from tests.helpers import FAST
+
 #: The log of the default soak (chaos seed 7), committed when the three
 #: load generators became one: a change that re-seeds the plans fails.
 PINNED_LOG = Path(__file__).parent.parent / "fixtures" / "chaos" / "soak-seed7.log"

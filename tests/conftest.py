@@ -71,3 +71,17 @@ def spawn_repro(tmp_path):
         if process.poll() is None:
             process.terminate()
         process.wait(timeout=15)
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Print the columns the differential harness checked per (path, backend)."""
+    checked = [
+        (report.nodeid, value)
+        for report in terminalreporter.stats.get("passed", [])
+        for name, value in report.user_properties
+        if name == "columns_checked"
+    ]
+    if checked:
+        terminalreporter.write_sep("-", "differential harness: columns checked")
+        for nodeid, value in checked:
+            terminalreporter.write_line(f"{value:6d}  {nodeid}")

@@ -7,6 +7,10 @@ from pathlib import Path
 
 import numpy as np
 
+#: A light session config (wire form) so a few hundred samples emit
+#: several columns.
+FAST = {"window_size": 64, "hop": 16, "subarray_size": 24}
+
 
 def synthetic_trace(rng: np.random.Generator, num_samples: int = 400) -> np.ndarray:
     """A moving-reflector trace: two linear phase ramps plus noise and DC."""

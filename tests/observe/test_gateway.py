@@ -16,7 +16,7 @@ from repro.observe.wsclient import AsyncWebSocketClient
 from repro.serve import AsyncServeClient, SensingServer, ServeConfig
 from repro.telemetry import Telemetry
 
-FAST = {"window_size": 64, "hop": 16, "subarray_size": 24}
+from tests.helpers import FAST
 
 
 async def http_get(port: int, path: str) -> tuple[int, dict[str, str], bytes]:

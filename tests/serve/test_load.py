@@ -9,7 +9,7 @@ from repro.cli import main
 from repro.serve import SensingServer, ServeConfig, protocol
 from repro.serve.load import run_load
 
-FAST = {"window_size": 64, "hop": 16, "subarray_size": 24}
+from tests.helpers import FAST
 
 
 class TestRunLoad:
@@ -94,6 +94,27 @@ class TestVerifier:
         failures = report.failures()
         assert failures[0] == "1 diverged column(s)"
         assert failures[1].startswith("incomplete session(s)")
+
+    def test_a_run_that_serves_no_column_fails_the_run_and_the_cli(self, capsys):
+        async def run():
+            server = SensingServer(ServeConfig())
+            port = await server.start()
+            try:
+                # One push of 32 samples: less than a window, so no column.
+                report = await run_load(
+                    "127.0.0.1", port, sessions=1, pushes=1, block_size=32, config=FAST
+                )
+                argv = ["load", "--port", str(port), "--sessions", "1", "--resilient",
+                        "--pushes", "1", "--block-size", "32"]
+                return report, await asyncio.to_thread(main, argv)
+            finally:
+                await server.shutdown()
+
+        report, code = asyncio.run(run())
+        assert report.columns == 0
+        assert report.failures() == ["no column served, so none was verified"]
+        assert code == 1
+        assert "load: no column served" in capsys.readouterr().err
 
     def test_one_perturbed_column_fails_the_run_and_the_cli(self, monkeypatch, capsys):
         encode = protocol.column_to_wire

@@ -26,7 +26,7 @@ from repro.serve import (
 )
 from repro.serve import protocol
 
-FAST = {"window_size": 64, "hop": 16, "subarray_size": 24}
+from tests.helpers import FAST
 
 
 @asynccontextmanager

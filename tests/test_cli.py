@@ -316,6 +316,29 @@ USAGE_ERRORS = [
     (["serve", "--port", "0", "--max-sessions", "0"], "0"),
     (["fleet", "--port", "0", "--workers", "0"], "0"),
     (["fleet", "--port", "0", "--max-batch-windows", "0"], "0"),
+    (["stream", "--block-size", "0"], "0"),
+    (["stream", "--max-buffers", "0"], "0"),
+    (["record", "--block-size", "0"], "0"),
+    (["track", "--humans", "-1"], "-1"),
+    (["export", "--humans", "-1"], "-1"),
+    (["stream", "--humans", "-1"], "-1"),
+    (["record", "--humans", "-1"], "-1"),
+    (["track", "--seed", "-1"], "-1"),
+    (["track", "--fault-seed", "-1"], "-1"),
+    (["count", "--max-humans", "-1"], "-1"),
+    (["count", "--max-humans", "0"], "0"),
+    (["count", "--train-trials", "0"], "0"),
+    (["captures", "prune", "--max-captures", "-1"], "-1"),
+    (["captures", "prune", "--max-bytes", "-1"], "-1"),
+    (["captures", "prune", "--max-age", "-1"], "-1"),
+    (["materials", "--materials", "brick"], "brick"),
+    (["nulling", "--material", "brick"], "brick"),
+    (["load", "--sessions", "0"], "0"),
+    (["load", "--sessions", "-1"], "-1"),
+    (["load", "--seconds", "0"], "0"),
+    (["load", "--seconds", "-1"], "-1"),
+    (["load", "--resilient", "--pushes", "0"], "0"),
+    (["load", "--block-size", "-5"], "-5"),
 ]
 
 
