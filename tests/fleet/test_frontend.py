@@ -3,9 +3,9 @@
 Each test boots a real fleet — forked shard workers behind the asyncio
 frontend — on ephemeral ports inside ``asyncio.run`` (the suite
 carries no async plugin), and speaks the ordinary serve client/load
-machinery at it.  That columns served *through* the frontend equal
-offline ``compute_spectrogram`` is proven by the differential harness,
-``tests/test_differential.py``.
+machinery at it.  The load-bearing assertion throughout is the
+equivalence gate: columns served *through* the frontend are
+``np.array_equal`` to offline ``compute_spectrogram``.
 """
 
 import asyncio
@@ -17,10 +17,11 @@ import numpy as np
 import pytest
 
 from repro.capture.store import CaptureStore
+from repro.core.tracking import compute_spectrogram
 from repro.errors import ProtocolError, SessionLimitError
 from repro.fleet import FleetConfig, FleetServer, HashRing
 from repro.fleet.frontend import _aggregate, merge_snapshots
-from repro.serve import AsyncServeClient, ServeConfig, run_load
+from repro.serve import AsyncServeClient, SensingServer, ServeConfig, run_load
 from repro.serve import protocol
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -73,6 +74,37 @@ class TestRouting:
                 await client.aclose()
 
         asyncio.run(run())
+
+    def test_streamed_columns_match_offline_bit_for_bit(
+        self, rng, fast_tracking_config
+    ):
+        trace = synthetic_trace(rng, num_samples=480)
+        offline = compute_spectrogram(trace, fast_tracking_config)
+
+        async def run():
+            async with running_fleet(workers=2) as fleet:
+                client = await _client(fleet)
+                await client.open_session(config=FAST)
+                # Shards mint fleet session ids, <shard>:s<n>, and the
+                # minted routing key is echoed for resumes.
+                shard, _, local_sid = str(client.session_id).partition(":")
+                assert shard in ("w0", "w1")
+                assert local_sid.startswith("s")
+                assert client.routing_key is not None
+                columns = []
+                for offset in range(0, len(trace), 96):
+                    pushed = await client.push(trace[offset : offset + 96])
+                    columns.extend(pushed.columns)
+                closed = await client.close_session()
+                await client.aclose()
+                return columns, closed
+
+        columns, closed = asyncio.run(run())
+        assert len(columns) == offline.power.shape[0]
+        assert np.array_equal(
+            np.stack([c.power for c in columns]), offline.power
+        )
+        assert closed["columns_out"] == len(columns)
 
     def test_routing_key_picks_the_ring_shard(self):
         async def run():
@@ -328,3 +360,40 @@ def test_worker_stats_visible_through_single_worker_fleet(rng):
     stats = asyncio.run(run())
     assert stats["server"]["columns_served"] > 0
     assert stats["shards"][0]["shard"] == "w0"
+
+
+def test_direct_server_and_fleet_columns_identical(rng, fast_tracking_config):
+    """The frontend hop adds nothing: same bytes as a direct session."""
+    trace = synthetic_trace(rng, num_samples=320)
+
+    async def direct():
+        server = SensingServer(ServeConfig())
+        await server.start()
+        try:
+            client = AsyncServeClient("127.0.0.1", server.port)
+            await client.connect()
+            session_id = await client.open_session(config=FAST)
+            reply = await client.push(trace)
+            await client.aclose()
+            return session_id, reply.columns
+        finally:
+            await server.shutdown()
+
+    async def fleeted():
+        async with running_fleet(workers=2) as fleet:
+            client = await _client(fleet)
+            session_id = await client.open_session(config=FAST)
+            reply = await client.push(trace)
+            await client.aclose()
+            return session_id, reply.columns
+
+    direct_sid, direct_cols = asyncio.run(direct())
+    fleet_sid, fleet_cols = asyncio.run(fleeted())
+    # A bare server mints s<n>; a fleet shard prefixes its name.
+    assert direct_sid == "s1"
+    assert fleet_sid in ("w0:s1", "w1:s1")
+    assert len(direct_cols) == len(fleet_cols)
+    for a, b in zip(direct_cols, fleet_cols):
+        assert np.array_equal(a.power, b.power)
+        assert a.time_s == b.time_s
+        assert a.estimator == b.estimator

@@ -16,9 +16,7 @@ from repro.core.tracking import compute_spectrogram
 from repro.faults.injector import FaultEvent, FaultKind
 from repro.serve import AsyncServeClient, SensingServer, ServeConfig
 
-from tests.helpers import synthetic_trace
-
-FAST = {"window_size": 64, "hop": 16, "subarray_size": 24}
+from tests.helpers import FAST, synthetic_trace
 
 
 async def _stream_session(port, trace, block_size, config=FAST):

@@ -467,7 +467,7 @@ _slot_op = st.tuples(st.sampled_from(SLOT_OPS), st.integers(0, 1))
 _session = st.tuples(st.booleans(), st.floats(0.0, 1e4))
 
 
-# Each test this harness replaced is a pinned @example, named in its comment.
+# The scenario of each per-path equivalence test is also a pinned @example, named in its comment.
 @settings(max_examples=20, derandomize=True, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
