@@ -17,8 +17,8 @@ Subcommands, one per headline capability:
 * ``fleet``     — the sharded multi-worker service (`repro.fleet`): a
   routing frontend over ``--workers N`` forked serve processes, with
   consistent-hash session placement, shard drain, crash supervision,
-  and exactly-merged cross-process telemetry.  Takes the same
-  ``--record`` / ``--dashboard`` flags as ``serve``.
+  and exactly-merged cross-process telemetry.  Takes every ``serve``
+  option but ``--chaos-seed``.
 * ``observe``   — serve the same gateway over a *recorded*
   ``--telemetry`` run directory: replayed events on ``/ws/live``, the
   recorded metrics snapshot on ``/metrics``.
@@ -106,8 +106,12 @@ def _bounded(kind: type, accept, what: str):
 
 #: ``--duration``: a positive, finite number of seconds.
 _duration = _bounded(float, lambda v: 0 < v < math.inf, "a positive number of seconds")
-#: ``--max-age``: zero or more seconds.
-_age = _bounded(float, lambda v: 0 <= v < math.inf, "a non-negative number of seconds")
+#: ``--distance``: a positive, finite number of meters.
+_distance = _bounded(float, lambda v: 0 < v < math.inf, "a positive number of meters")
+#: Deadlines (0 disables one), ``--max-age`` and ``--rate``.
+_age = _bounded(float, lambda v: 0 <= v < math.inf, "a non-negative number")
+#: TCP ports; 0 picks a free one.
+_port = _bounded(int, lambda v: 0 <= v <= 65535, "a TCP port (0-65535)")
 #: Block sizes, buffer depths, session and push counts.
 _positive_int = _bounded(int, lambda v: v >= 1, "a positive integer")
 #: Head counts, seeds and retention limits, where 0 is meaningful.
@@ -146,6 +150,76 @@ def _add_observability(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="suppress informational output (errors still print)",
     )
+
+
+def _add_service_options(parser: argparse.ArgumentParser, port: int) -> None:
+    """The options ``serve`` and ``fleet`` share.
+
+    A fleet's frontend binds and holds client connections to the bind
+    and deadline options; each shard takes the session and scheduler
+    limits and ``--record``.
+    """
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument(
+        "--port", type=_port, default=port, help="TCP port (0 picks a free one)"
+    )
+    parser.add_argument(
+        "--duration",
+        type=_duration,
+        default=None,
+        help="self-terminate after this many seconds (default: run forever)",
+    )
+    parser.add_argument(
+        "--max-sessions", type=int, default=64, help="session limit (per shard in a fleet)"
+    )
+    parser.add_argument(
+        "--max-batch-windows",
+        type=int,
+        default=64,
+        help="windows one scheduler tick may stack (1 = serial dispatch; per shard in a fleet)",
+    )
+    parser.add_argument(
+        "--queue-capacity",
+        type=int,
+        default=512,
+        help="admission bound: queued windows before pushes are shed (per shard in a fleet)",
+    )
+    parser.add_argument(
+        "--idle-timeout",
+        type=_age,
+        default=30.0,
+        help="client-connection read deadline in seconds (0 disables)",
+    )
+    parser.add_argument(
+        "--write-timeout",
+        type=_age,
+        default=10.0,
+        help="per-reply write deadline in seconds (0 disables)",
+    )
+    parser.add_argument(
+        "--record",
+        metavar="DIR",
+        default=None,
+        help="record every fresh session into a capture store at DIR "
+        "(one store shared by all shards)",
+    )
+    parser.add_argument(
+        "--dashboard",
+        action="store_true",
+        help="co-host the observe gateway (/metrics, /ws/live, /api/shards, "
+        "dashboard at /)",
+    )
+    parser.add_argument(
+        "--dashboard-host", default="127.0.0.1", help="gateway bind host"
+    )
+    parser.add_argument(
+        "--dashboard-port",
+        type=_port,
+        default=0,
+        help="gateway TCP port (0 picks a free one; printed on bind)",
+    )
+    _add_seed(parser)
+    _add_observability(parser)
 
 
 def _stop_on_signals() -> asyncio.Event:
@@ -429,26 +503,84 @@ def cmd_nulling(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Run the multi-session sensing service until stopped."""
-    from repro.serve import SchedulerConfig, SensingServer, ServeConfig
+def _service_config(args: argparse.Namespace):
+    """The :class:`~repro.serve.ServeConfig` the shared service options describe."""
+    from repro.serve import SchedulerConfig, ServeConfig
 
+    return ServeConfig(
+        host=args.host,
+        port=args.port,
+        max_sessions=args.max_sessions,
+        idle_timeout_s=args.idle_timeout or None,
+        write_timeout_s=args.write_timeout or None,
+        scheduler=SchedulerConfig(
+            max_batch_windows=args.max_batch_windows,
+            queue_capacity=args.queue_capacity,
+        ),
+        record_dir=args.record,
+    )
+
+
+def _run_service(args: argparse.Namespace, name: str, make, summary) -> int:
+    """Run ``serve`` or ``fleet`` until ``--duration`` ends or a signal lands.
+
+    ``make(config, hub)`` builds the service from the shared options'
+    :class:`~repro.serve.ServeConfig`; ``summary(service)`` is the line
+    printed once it has drained.
+    """
     try:
-        config = ServeConfig(
-            host=args.host,
-            port=args.port,
-            max_sessions=args.max_sessions,
-            idle_timeout_s=args.idle_timeout if args.idle_timeout > 0 else None,
-            write_timeout_s=args.write_timeout if args.write_timeout > 0 else None,
-            scheduler=SchedulerConfig(
-                max_batch_windows=args.max_batch_windows,
-                queue_capacity=args.queue_capacity,
-            ),
-            record_dir=args.record,
-        )
+        config = _service_config(args)
     except ValueError as exc:
         out.error(f"repro: error: {exc}")
         return 2
+
+    async def run() -> int:
+        stop = _stop_on_signals()
+        hub = None
+        gateway = None
+        if args.dashboard:
+            from repro.observe import ObserveConfig, ObserveGateway, TelemetryHub
+
+            hub = TelemetryHub()
+        service = make(config, hub)
+        port = await service.start()
+        # One parseable line, immediately on bind: scripts (and the CI
+        # smoke steps) read the port from it when --port 0 was asked.
+        # A fleet's per-shard lines let them find worker pids.
+        out(f"{name}: listening on {config.host} port {port}")
+        if name == "fleet":
+            for snap in service.shard_snapshots():
+                out(f"fleet: shard {snap['shard']} pid {snap['pid']} port {snap['port']}")
+        try:
+            if hub is not None:
+                gateway = ObserveGateway(
+                    hub,
+                    server=service if name == "serve" else None,
+                    fleet=service if name == "fleet" else None,
+                    config=ObserveConfig(host=args.dashboard_host, port=args.dashboard_port),
+                )
+                dashboard_port = await gateway.start()
+                out(f"observe: listening on {args.dashboard_host} port {dashboard_port}")
+            with contextlib.suppress(asyncio.TimeoutError):
+                await asyncio.wait_for(stop.wait(), args.duration)
+        finally:
+            if gateway is not None:
+                await gateway.shutdown()
+            await service.shutdown()
+        out(summary(service))
+        return 0
+
+    try:
+        return asyncio.run(run())
+    except KeyboardInterrupt:
+        out(f"{name}: interrupted, shut down")
+        return 0
+
+
+def cmd_serve(args: argparse.Namespace) -> int:
+    """Run the multi-session sensing service until stopped."""
+    from repro.serve import SensingServer
+
     chaos = None
     if args.chaos_seed is not None:
         from repro.chaos import ChaosSchedule, ChaosScheduleConfig, ServerChaos
@@ -458,141 +590,50 @@ def cmd_serve(args: argparse.Namespace) -> int:
         )
         chaos = ServerChaos(schedule)
 
-    async def run() -> int:
-        stop = _stop_on_signals()
-        hub = None
-        gateway = None
-        if args.dashboard:
-            from repro.observe import ObserveConfig, ObserveGateway, TelemetryHub
-
-            hub = TelemetryHub()
-        server = SensingServer(config, chaos=chaos, hub=hub)
-        port = await server.start()
-        # One parseable line, immediately on bind: scripts (and the CI
-        # smoke step) read the port from it when --port 0 was asked.
-        out(f"serve: listening on {config.host} port {port}")
-        if hub is not None:
-            gateway = ObserveGateway(
-                hub,
-                server=server,
-                config=ObserveConfig(
-                    host=args.dashboard_host, port=args.dashboard_port
-                ),
-            )
-            dashboard_port = await gateway.start()
-            # Same parseable convention as the serve line above.
-            out(
-                f"observe: listening on {args.dashboard_host} "
-                f"port {dashboard_port}"
-            )
-        try:
-            with contextlib.suppress(asyncio.TimeoutError):
-                await asyncio.wait_for(stop.wait(), args.duration)
-        finally:
-            if gateway is not None:
-                await gateway.shutdown()
-            await server.shutdown()
+    def summary(server) -> str:
         snapshot = server.stats.snapshot()
         scheduler = server.scheduler.stats.snapshot()
-        out(
+        return (
             f"serve: handled {snapshot['requests']} requests "
             f"({snapshot['errors']} errors), served "
             f"{snapshot['columns_served']} columns in "
             f"{scheduler['ticks']} batches "
             f"(mean occupancy {scheduler['mean_batch_windows']:.1f} windows)"
         )
-        return 0
 
-    try:
-        return asyncio.run(run())
-    except KeyboardInterrupt:
-        out("serve: interrupted, shut down")
-        return 0
+    return _run_service(
+        args,
+        "serve",
+        lambda config, hub: SensingServer(config, chaos=chaos, hub=hub),
+        summary,
+    )
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
     """Run the sharded multi-worker sensing fleet until stopped."""
     from repro.fleet import FleetConfig, FleetServer
-    from repro.serve import SchedulerConfig, ServeConfig
 
-    try:
+    def make(serve, hub) -> FleetServer:
         config = FleetConfig(
-            host=args.host,
-            port=args.port,
             workers=args.workers,
-            serve=ServeConfig(
-                max_sessions=args.max_sessions,
-                write_timeout_s=args.write_timeout if args.write_timeout > 0 else None,
-                scheduler=SchedulerConfig(
-                    max_batch_windows=args.max_batch_windows,
-                    queue_capacity=args.queue_capacity,
-                ),
-            ),
-            client_idle_timeout_s=(
-                args.idle_timeout if args.idle_timeout > 0 else None
-            ),
+            serve=serve,
             drain_timeout_s=args.drain_timeout,
-            record_dir=args.record,
-            telemetry_dir=getattr(args, "telemetry", None),
+            telemetry_dir=args.telemetry,
             dsp_backend=args.dsp_backend,
         )
-    except ValueError as exc:
-        out.error(f"repro: error: {exc}")
-        return 2
+        return FleetServer(config, hub=hub)
 
-    async def run() -> int:
-        stop = _stop_on_signals()
-        hub = None
-        gateway = None
-        if args.dashboard:
-            from repro.observe import ObserveConfig, ObserveGateway, TelemetryHub
-
-            hub = TelemetryHub()
-        fleet = FleetServer(config, hub=hub)
-        port = await fleet.start()
-        # Same parseable convention as serve's bind line; the per-shard
-        # lines let scripts (and the CI smoke step) find worker pids.
-        out(f"fleet: listening on {config.host} port {port}")
-        for snap in fleet.shard_snapshots():
-            out(
-                f"fleet: shard {snap['shard']} pid {snap['pid']} "
-                f"port {snap['port']}"
-            )
-        if hub is not None:
-            gateway = ObserveGateway(
-                hub,
-                fleet=fleet,
-                config=ObserveConfig(
-                    host=args.dashboard_host, port=args.dashboard_port
-                ),
-            )
-            dashboard_port = await gateway.start()
-            out(
-                f"observe: listening on {args.dashboard_host} "
-                f"port {dashboard_port}"
-            )
-        try:
-            with contextlib.suppress(asyncio.TimeoutError):
-                await asyncio.wait_for(stop.wait(), args.duration)
-        finally:
-            if gateway is not None:
-                await gateway.shutdown()
-            await fleet.shutdown()
+    def summary(fleet) -> str:
         stats = fleet.stats.snapshot()
-        out(
+        return (
             f"fleet: routed {stats['sessions_routed']} session(s) "
             f"({stats['sessions_resumed']} resumed, "
-            f"{stats['shed_sessions']} shed) across {config.workers} "
+            f"{stats['shed_sessions']} shed) across {fleet.config.workers} "
             f"worker(s); {stats['worker_restarts']} restart(s), "
             f"{stats['requests_relayed']} requests relayed"
         )
-        return 0
 
-    try:
-        return asyncio.run(run())
-    except KeyboardInterrupt:
-        out("fleet: interrupted, shut down")
-        return 0
+    return _run_service(args, "fleet", make, summary)
 
 
 def cmd_observe(args: argparse.Namespace) -> int:
@@ -968,7 +1009,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gestures = commands.add_parser("gestures", help="decode a gestured bit string")
     gestures.add_argument("bits", nargs="?", default="01")
-    gestures.add_argument("--distance", type=float, default=3.0)
+    gestures.add_argument("--distance", type=_distance, default=3.0)
     _add_seed(gestures)
     _add_observability(gestures)
     gestures.set_defaults(handler=cmd_gestures)
@@ -982,7 +1023,7 @@ def build_parser() -> argparse.ArgumentParser:
     count.set_defaults(handler=cmd_count)
 
     materials = commands.add_parser("materials", help="wall-material sweep")
-    materials.add_argument("--distance", type=float, default=3.0)
+    materials.add_argument("--distance", type=_distance, default=3.0)
     materials.add_argument("--materials", nargs="*", type=_material, default=None)
     _add_seed(materials)
     _add_observability(materials)
@@ -1008,148 +1049,31 @@ def build_parser() -> argparse.ArgumentParser:
     serve = commands.add_parser(
         "serve", help="run the multi-session sensing service"
     )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument(
-        "--port", type=int, default=9361, help="TCP port (0 picks a free one)"
-    )
-    serve.add_argument(
-        "--duration",
-        type=_duration,
-        default=None,
-        help="self-terminate after this many seconds (default: run forever)",
-    )
-    serve.add_argument("--max-sessions", type=int, default=64)
-    serve.add_argument(
-        "--max-batch-windows",
-        type=int,
-        default=64,
-        help="windows one scheduler tick may stack (1 = serial dispatch)",
-    )
-    serve.add_argument(
-        "--queue-capacity",
-        type=int,
-        default=512,
-        help="admission bound: queued windows before pushes are shed",
-    )
-    serve.add_argument(
-        "--idle-timeout",
-        type=float,
-        default=30.0,
-        help="per-connection read deadline in seconds (0 disables)",
-    )
-    serve.add_argument(
-        "--write-timeout",
-        type=float,
-        default=10.0,
-        help="per-reply write deadline in seconds (0 disables)",
-    )
+    _add_service_options(serve, port=9361)
     serve.add_argument(
         "--chaos-seed",
         type=_count,
         default=None,
         help="inject seeded server-side chaos (stalled ticks, slow replies)",
     )
-    serve.add_argument(
-        "--record",
-        metavar="DIR",
-        default=None,
-        help="record every fresh session into a capture store at DIR",
-    )
-    serve.add_argument(
-        "--dashboard",
-        action="store_true",
-        help="co-host the observe gateway (/metrics, /ws/live, dashboard at /)",
-    )
-    serve.add_argument(
-        "--dashboard-host", default="127.0.0.1", help="gateway bind host"
-    )
-    serve.add_argument(
-        "--dashboard-port",
-        type=int,
-        default=0,
-        help="gateway TCP port (0 picks a free one; printed on bind)",
-    )
-    _add_seed(serve)
-    _add_observability(serve)
     serve.set_defaults(handler=cmd_serve)
 
     fleet = commands.add_parser(
         "fleet", help="run the sharded multi-worker sensing service"
     )
-    fleet.add_argument("--host", default="127.0.0.1")
-    fleet.add_argument(
-        "--port", type=int, default=9360, help="TCP port (0 picks a free one)"
-    )
+    _add_service_options(fleet, port=9360)
     fleet.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=2,
         help="shard worker processes behind the routing frontend",
     )
     fleet.add_argument(
-        "--duration",
-        type=_duration,
-        default=None,
-        help="self-terminate after this many seconds (default: run forever)",
-    )
-    fleet.add_argument(
-        "--max-sessions",
-        type=int,
-        default=64,
-        help="session limit per shard worker",
-    )
-    fleet.add_argument(
-        "--max-batch-windows",
-        type=int,
-        default=64,
-        help="windows one scheduler tick may stack (per worker)",
-    )
-    fleet.add_argument(
-        "--queue-capacity",
-        type=int,
-        default=512,
-        help="per-worker admission bound: queued windows before shedding",
-    )
-    fleet.add_argument(
-        "--idle-timeout",
-        type=float,
-        default=30.0,
-        help="client-connection read deadline in seconds (0 disables)",
-    )
-    fleet.add_argument(
-        "--write-timeout",
-        type=float,
-        default=10.0,
-        help="per-reply write deadline in seconds (0 disables)",
-    )
-    fleet.add_argument(
         "--drain-timeout",
-        type=float,
+        type=_age,
         default=15.0,
         help="seconds a draining shard may wait for sessions to migrate",
     )
-    fleet.add_argument(
-        "--record",
-        metavar="DIR",
-        default=None,
-        help="record every fresh session into a shared capture store at DIR",
-    )
-    fleet.add_argument(
-        "--dashboard",
-        action="store_true",
-        help="co-host the observe gateway (/metrics, /api/shards, dashboard)",
-    )
-    fleet.add_argument(
-        "--dashboard-host", default="127.0.0.1", help="gateway bind host"
-    )
-    fleet.add_argument(
-        "--dashboard-port",
-        type=int,
-        default=0,
-        help="gateway TCP port (0 picks a free one; printed on bind)",
-    )
-    _add_seed(fleet)
-    _add_observability(fleet)
     fleet.set_defaults(handler=cmd_fleet)
 
     observe = commands.add_parser(
@@ -1164,7 +1088,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     observe.add_argument("--host", default="127.0.0.1")
     observe.add_argument(
-        "--port", type=int, default=9362, help="TCP port (0 picks a free one)"
+        "--port", type=_port, default=9362, help="TCP port (0 picks a free one)"
     )
     observe.add_argument(
         "--duration",
@@ -1174,7 +1098,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     observe.add_argument(
         "--rate",
-        type=float,
+        type=_age,
         default=500.0,
         help="recorded events streamed per second on /ws/live (0 = unpaced)",
     )
@@ -1189,7 +1113,7 @@ def build_parser() -> argparse.ArgumentParser:
         "every served column against offline compute",
     )
     load.add_argument("--host", default="127.0.0.1")
-    load.add_argument("--port", type=int, default=9361)
+    load.add_argument("--port", type=_port, default=9361)
     load.add_argument("--sessions", type=_positive_int, default=8)
     load.add_argument("--seconds", type=_duration, default=5.0)
     load.add_argument(
@@ -1270,7 +1194,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--host", default="127.0.0.1")
     replay.add_argument(
         "--port",
-        type=int,
+        type=_port,
         default=None,
         help="replay through a live serve session at --host:--port "
         "(default: offline through a rebuilt tracker)",

@@ -64,7 +64,7 @@ from repro.fleet.ring import HashRing
 from repro.fleet.worker import WorkerHandle, WorkerSpec
 from repro.serve import protocol
 from repro.serve.client import AsyncServeClient
-from repro.serve.server import ServeConfig
+from repro.serve.server import ServeConfig, read_line, write_line
 from repro.telemetry.context import get_telemetry
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -82,13 +82,14 @@ class FleetConfig:
     Attributes:
         workers: shard count; shard names are ``w0..w{N-1}`` and stay
             stable across restarts (the ring hashes names, not pids).
-        serve: the per-worker :class:`ServeConfig` template.  The
-            frontend forces ``port=0`` (ephemeral loopback) and
-            ``idle_timeout_s=None`` on workers — pooled frontend↔worker
-            connections sit idle legitimately, and the client-facing
-            idle deadline lives here (``client_idle_timeout_s``).
-        record_dir: shared capture store all shards record into (the
-            store's advisory locking keeps concurrent writers safe).
+        serve: the service clients see.  The frontend binds
+            ``serve.host:serve.port`` and holds client connections to
+            its idle and write deadlines.  Each worker runs this
+            config too — its session and scheduler limits, and its
+            ``record_dir`` (one shared capture store; the store's
+            advisory locking keeps concurrent writers safe) — but on
+            an ephemeral loopback port with no idle deadline: pooled
+            frontend↔worker connections sit idle legitimately.
         telemetry_dir: when set, each worker runs an enabled telemetry
             session in ``<dir>/shard-<name>`` and the frontend merges
             every shard's final snapshot into its own registry at
@@ -96,15 +97,10 @@ class FleetConfig:
             exact fleet totals.
     """
 
-    host: str = "127.0.0.1"
-    port: int = 0
     workers: int = 2
     serve: ServeConfig = field(default_factory=ServeConfig)
     supervisor_interval_s: float = 0.25
     drain_timeout_s: float = 15.0
-    client_idle_timeout_s: float | None = 30.0
-    write_timeout_s: float | None = 10.0
-    record_dir: str | None = None
     telemetry_dir: str | None = None
     dsp_backend: str | None = None
 
@@ -264,11 +260,7 @@ class FleetServer:
 
     def _worker_spec(self, name: str) -> WorkerSpec:
         serve = dataclasses.replace(
-            self.config.serve,
-            host="127.0.0.1",
-            port=0,
-            idle_timeout_s=None,
-            record_dir=self.config.record_dir,
+            self.config.serve, host="127.0.0.1", port=0, idle_timeout_s=None
         )
         telemetry_dir = (
             f"{self.config.telemetry_dir}/shard-{name}"
@@ -300,9 +292,9 @@ class FleetServer:
             raise
         self._server = await asyncio.start_server(
             self._handle_client,
-            host=self.config.host,
-            port=self.config.port,
-            limit=self.config.serve.max_frame_bytes,
+            host=self.config.serve.host,
+            port=self.config.serve.port,
+            limit=protocol.MAX_FRAME_BYTES,
         )
         self._supervisor = asyncio.create_task(self._supervise())
         return self.port
@@ -599,26 +591,12 @@ class _ClientRelay:
 
     # -- plumbing ------------------------------------------------------
 
-    async def _read_client(self) -> bytes:
-        if self.fleet.config.client_idle_timeout_s is None:
-            return await self.reader.readline()
-        return await asyncio.wait_for(
-            self.reader.readline(),
-            timeout=self.fleet.config.client_idle_timeout_s,
-        )
-
     async def _send_client(self, frame: dict[str, Any]) -> bool:
         return await self._send_client_raw(protocol.encode_frame(frame))
 
     async def _send_client_raw(self, data: bytes) -> bool:
         try:
-            self.writer.write(data)
-            if self.fleet.config.write_timeout_s is None:
-                await self.writer.drain()
-            else:
-                await asyncio.wait_for(
-                    self.writer.drain(), timeout=self.fleet.config.write_timeout_s
-                )
+            await write_line(self.writer, data, self.fleet.config.serve)
         except (asyncio.TimeoutError, ConnectionError, OSError):
             return False
         return True
@@ -632,9 +610,7 @@ class _ClientRelay:
             return pooled
         reader, writer = await asyncio.wait_for(
             asyncio.open_connection(
-                "127.0.0.1",
-                state.handle.port,
-                limit=self.fleet.config.serve.max_frame_bytes,
+                "127.0.0.1", state.handle.port, limit=protocol.MAX_FRAME_BYTES
             ),
             timeout=BACKEND_TIMEOUT_S,
         )
@@ -682,25 +658,10 @@ class _ClientRelay:
         fleet = self.fleet
         while True:
             try:
-                line = await self._read_client()
-            except asyncio.TimeoutError:
+                line = await read_line(self.reader, fleet.config.serve)
+            except (ServeTimeoutError, ProtocolError) as exc:
                 fleet.stats.relay_errors += 1
-                await self._send_client(
-                    protocol.error_frame(
-                        ServeTimeoutError(
-                            "no complete frame within the "
-                            f"{fleet.config.client_idle_timeout_s}s idle deadline"
-                        )
-                    )
-                )
-                return
-            except (asyncio.LimitOverrunError, ValueError):
-                fleet.stats.relay_errors += 1
-                await self._send_client(
-                    protocol.error_frame(
-                        ProtocolError("frame exceeds the size limit")
-                    )
-                )
+                await self._send_client(protocol.error_frame(exc))
                 return
             except (ConnectionError, OSError):
                 return
@@ -709,9 +670,7 @@ class _ClientRelay:
             if line.strip() == b"":
                 continue
             try:
-                frame = protocol.decode_frame(
-                    line, fleet.config.serve.max_frame_bytes
-                )
+                frame = protocol.decode_frame(line)
             except ProtocolError as exc:
                 fleet.stats.relay_errors += 1
                 if not await self._send_client(protocol.error_frame(exc)):

@@ -130,9 +130,9 @@ class ConditionStage:
 
     A block whose damage or saturation exceeds the policy thresholds is
     a *bad* block: the machine degrades (with the PR-1 hysteresis), and
-    the state transition surfaces as a :class:`HealthEvent`.  Repair is
-    optional and off by default — the golden-equivalence contract wants
-    the tracker to see exactly what the radio delivered, and the MUSIC
+    the state transition surfaces as a :class:`HealthEvent`.  Blocks
+    pass through unrepaired — the golden-equivalence contract wants the
+    tracker to see exactly what the radio delivered, and the MUSIC
     degeneracy guard already handles corrupt windows frame by frame.
     """
 
@@ -140,34 +140,15 @@ class ConditionStage:
         self,
         policy: RecoveryPolicy | None = None,
         machine: HealthStateMachine | None = None,
-        repair: bool = False,
     ):
         self.policy = policy if policy is not None else RecoveryPolicy()
         self.machine = (
             machine if machine is not None else HealthStateMachine(self.policy)
         )
-        self.repair = repair
         self.bad_block_count = 0
-        self.repaired_sample_count = 0
 
-    def _repair_block(self, samples: np.ndarray) -> tuple[np.ndarray, int]:
-        """Rail-wise linear interpolation over non-finite samples."""
-        bad = ~np.isfinite(samples)
-        count = int(np.count_nonzero(bad))
-        if count == 0:
-            return samples, 0
-        good = np.flatnonzero(~bad)
-        if len(good) < 2:
-            return np.where(bad, 0.0, samples), count
-        bad_indices = np.flatnonzero(bad)
-        samples = np.array(samples, dtype=complex)
-        samples[bad_indices] = np.interp(
-            bad_indices, good, samples[good].real
-        ) + 1j * np.interp(bad_indices, good, samples[good].imag)
-        return samples, count
-
-    def process(self, block: SampleBlock) -> tuple[SampleBlock, list[HealthEvent]]:
-        """Screen (and optionally repair) one block; report transitions."""
+    def process(self, block: SampleBlock) -> list[HealthEvent]:
+        """Screen one block; report the health transitions it caused."""
         health = screen_block(block.samples)
         transitions_before = len(self.machine.transitions)
         if (
@@ -188,14 +169,7 @@ class ConditionStage:
             )
         else:
             self.machine.record_good()
-        if self.repair:
-            repaired_samples, count = self._repair_block(block.samples)
-            if count:
-                self.repaired_sample_count += count
-                block = SampleBlock(
-                    samples=repaired_samples, start_index=block.start_index
-                )
-        events = [
+        return [
             HealthEvent(
                 block_index=block.start_index,
                 state=transition.target,
@@ -203,7 +177,6 @@ class ConditionStage:
             )
             for transition in self.machine.transitions[transitions_before:]
         ]
-        return block, events
 
 
 # ----------------------------------------------------------------------
@@ -383,7 +356,7 @@ class StreamingPipeline:
                 with StageTimer(
                     self.metrics.stage("condition"), items_in=len(block)
                 ) as timer:
-                    block, health_events = self.condition.process(block)
+                    health_events = self.condition.process(block)
                     timer.items_out = len(block)
                 for event in health_events:
                     yield self._deliver(event)

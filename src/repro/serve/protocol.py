@@ -99,9 +99,11 @@ TELEMETRY_SNAPSHOT_REPLY = "telemetry_snapshot_reply"
 ERROR = "error"
 
 #: Hard ceiling on one encoded frame (bytes).  A push of
-#: ``max_push_samples`` complex samples stays far below this; anything
-#: larger is a protocol violation, not a bigger buffer.
+#: :data:`MAX_PUSH_SAMPLES` complex samples stays far below this;
+#: anything larger is a protocol violation, not a bigger buffer.
 MAX_FRAME_BYTES = 8 * 1024 * 1024
+#: The most complex samples one ``push_blocks`` frame may carry.
+MAX_PUSH_SAMPLES = 16384
 
 
 def encode_frame(frame: dict[str, Any]) -> bytes:

@@ -56,8 +56,6 @@ class ServeConfig:
         write_timeout_s: the longest one reply write may take to drain
             before the connection is declared dead (a client that
             stopped reading).  ``None`` disables the deadline.
-        max_frame_bytes: bounded-read ceiling on one wire line; longer
-            frames draw a typed error, never a bigger buffer.
         record_dir: when set, the server opens a
             :class:`repro.capture.store.CaptureStore` there and records
             every *fresh* session (resumed sessions start mid-stream,
@@ -65,29 +63,68 @@ class ServeConfig:
             exactly the blocks each session's tracker ingested, its
             health events, and its served columns.  The capture seals
             when the session ends — cleanly or not.
+
+    The wire limits are protocol constants, not knobs: a line longer
+    than :data:`protocol.MAX_FRAME_BYTES` draws a typed error, never a
+    bigger buffer, and a push of more than
+    :data:`protocol.MAX_PUSH_SAMPLES` samples is refused.
     """
 
     host: str = "127.0.0.1"
     port: int = 0
     max_sessions: int = 64
-    max_push_samples: int = 16384
     idle_timeout_s: float | None = 30.0
     write_timeout_s: float | None = 10.0
-    max_frame_bytes: int = protocol.MAX_FRAME_BYTES
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
     record_dir: str | None = None
 
     def __post_init__(self) -> None:
         if self.max_sessions < 1:
             raise ValueError(f"max_sessions must be positive, got {self.max_sessions}")
-        if self.max_push_samples < 1:
-            raise ValueError("max_push_samples must be positive")
         for name in ("idle_timeout_s", "write_timeout_s"):
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive (or None)")
-        if self.max_frame_bytes < 4096:
-            raise ValueError("max_frame_bytes must hold a control frame")
+
+
+async def read_line(reader: asyncio.StreamReader, config: ServeConfig) -> bytes:
+    """One client wire line, bounded by ``config.idle_timeout_s``.
+
+    Returns ``b""`` at EOF.
+
+    Raises:
+        ServeTimeoutError: no complete line within the idle deadline.
+        ProtocolError: the line exceeds :data:`protocol.MAX_FRAME_BYTES`
+            (the reader's limit).
+    """
+    try:
+        return await asyncio.wait_for(reader.readline(), config.idle_timeout_s)
+    except asyncio.TimeoutError:
+        raise ServeTimeoutError(
+            f"no complete frame within the {config.idle_timeout_s}s idle deadline"
+        ) from None
+    except (asyncio.LimitOverrunError, ValueError):
+        raise ProtocolError("frame exceeds the size limit") from None
+
+
+async def write_line(
+    writer: asyncio.StreamWriter, data: bytes, config: ServeConfig
+) -> None:
+    """Write one reply line and drain it within ``config.write_timeout_s``.
+
+    A client that misses the deadline is aborted: a plain close would
+    keep its socket open until it read the buffered reply.
+
+    Raises:
+        asyncio.TimeoutError: the client stopped reading.
+        ConnectionError, OSError: the client is gone.
+    """
+    writer.write(data)
+    try:
+        await asyncio.wait_for(writer.drain(), config.write_timeout_s)
+    except asyncio.TimeoutError:
+        writer.transport.abort()
+        raise
 
 
 @dataclass
@@ -206,7 +243,7 @@ class SensingServer:
             self._handle_connection,
             host=self.config.host,
             port=self.config.port,
-            limit=self.config.max_frame_bytes,
+            limit=protocol.MAX_FRAME_BYTES,
         )
         self.scheduler.start()
         return self.port
@@ -247,14 +284,6 @@ class SensingServer:
     # Connection handling
     # ------------------------------------------------------------------
 
-    async def _read_line(self, reader: asyncio.StreamReader) -> bytes:
-        """One wire line, bounded by the idle deadline when configured."""
-        if self.config.idle_timeout_s is None:
-            return await reader.readline()
-        return await asyncio.wait_for(
-            reader.readline(), timeout=self.config.idle_timeout_s
-        )
-
     async def _send(self, writer: asyncio.StreamWriter, frame: dict[str, Any]) -> bool:
         """Write one reply frame; ``False`` means the peer is gone.
 
@@ -265,13 +294,7 @@ class SensingServer:
         if self.chaos is not None:
             await self.chaos.before_reply()
         try:
-            writer.write(protocol.encode_frame(frame))
-            if self.config.write_timeout_s is None:
-                await writer.drain()
-            else:
-                await asyncio.wait_for(
-                    writer.drain(), timeout=self.config.write_timeout_s
-                )
+            await write_line(writer, protocol.encode_frame(frame), self.config)
         except asyncio.TimeoutError:
             self.stats.write_timeouts += 1
             self._count_disconnect("reply write exceeded write_timeout_s")
@@ -289,35 +312,19 @@ class SensingServer:
         try:
             while True:
                 try:
-                    line = await self._read_line(reader)
-                except asyncio.TimeoutError:
-                    self.stats.read_timeouts += 1
+                    line = await read_line(reader, self.config)
+                except (ServeTimeoutError, ProtocolError) as exc:
+                    if isinstance(exc, ServeTimeoutError):
+                        self.stats.read_timeouts += 1
                     self._count_error()
-                    await self._send(
-                        writer,
-                        protocol.error_frame(
-                            ServeTimeoutError(
-                                "no complete frame within the "
-                                f"{self.config.idle_timeout_s}s idle deadline"
-                            )
-                        ),
-                    )
-                    break
-                except (asyncio.LimitOverrunError, ValueError):
-                    self._count_error()
-                    await self._send(
-                        writer,
-                        protocol.error_frame(
-                            ProtocolError("frame exceeds the size limit")
-                        ),
-                    )
+                    await self._send(writer, protocol.error_frame(exc))
                     break
                 if not line:
                     break
                 if line.strip() == b"":
                     continue
                 try:
-                    frame = protocol.decode_frame(line, self.config.max_frame_bytes)
+                    frame = protocol.decode_frame(line)
                 except ProtocolError as exc:
                     # The newline framing survives one corrupt line, so
                     # a torn or mangled frame costs the client a typed
@@ -501,7 +508,6 @@ class SensingServer:
                 checkpoint=checkpoint,
                 use_music=use_music,
                 start_time_s=float(start_time_s),
-                max_push_samples=self.config.max_push_samples,
             )
             self.stats.sessions_resumed += 1
         else:
@@ -510,7 +516,6 @@ class SensingServer:
                 config=config,
                 use_music=use_music,
                 start_time_s=float(start_time_s),
-                max_push_samples=self.config.max_push_samples,
                 resumable=resumable,
             )
         if self.capture_store is not None and checkpoint is None:

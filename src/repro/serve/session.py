@@ -124,15 +124,13 @@ class ServeSession:
         config: TrackingConfig,
         use_music: bool = True,
         start_time_s: float = 0.0,
-        max_push_samples: int = 16384,
         resumable: bool = False,
     ):
         self.id = session_id
         self.config = config
         self.use_music = use_music
-        self.max_push_samples = max_push_samples
         self.resumable = resumable
-        ring_capacity = max(4 * config.window_size, config.window_size + max_push_samples)
+        ring_capacity = max(4 * config.window_size, config.window_size + protocol.MAX_PUSH_SAMPLES)
         self.tracker = StreamingTracker(
             config,
             start_time_s=start_time_s,
@@ -210,7 +208,6 @@ class ServeSession:
         checkpoint: dict[str, Any],
         use_music: bool = True,
         start_time_s: float = 0.0,
-        max_push_samples: int = 16384,
     ) -> "ServeSession":
         """Rebuild a session from a client-presented checkpoint.
 
@@ -225,7 +222,6 @@ class ServeSession:
             config=config,
             use_music=use_music,
             start_time_s=start_time_s,
-            max_push_samples=max_push_samples,
             resumable=True,
         )
         try:
@@ -320,10 +316,10 @@ class ServeSession:
             raise ProtocolError("samples must be one-dimensional")
         if len(samples) == 0:
             raise ProtocolError("push_blocks carried no samples")
-        if len(samples) > self.max_push_samples:
+        if len(samples) > protocol.MAX_PUSH_SAMPLES:
             raise ProtocolError(
                 f"push of {len(samples)} samples exceeds the per-request "
-                f"limit of {self.max_push_samples}"
+                f"limit of {protocol.MAX_PUSH_SAMPLES}"
             )
         return self.tracker.expected_windows(len(samples))
 

@@ -11,11 +11,9 @@ test).
 
 This module also owns the per-stage accounting the streaming runtime
 charges (:class:`StageMetrics` / :class:`StageTimer` /
-:class:`RuntimeMetrics`), superseding the retired runtime metrics shim
-home (which now just re-exports these names).  Stage timers gained
-error accounting: a stage that *raises* still pays its wall time but
-credits no output items, and the failure is counted in
-``StageMetrics.errors``.
+:class:`RuntimeMetrics`).  Stage timers gained error accounting: a
+stage that *raises* still pays its wall time but credits no output
+items, and the failure is counted in ``StageMetrics.errors``.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ Covers the failure-model rows the chaos soak exercises statistically,
 one deterministic test each: idle-timeout expiry, malformed-frame
 recovery (connection survives), oversized-frame rejection (connection
 does not), and the reply-write disconnect teardown that used to leak
-sessions.
+sessions.  The fleet frontend holds its clients to the same idle and
+write deadlines.
 """
 
 import asyncio
@@ -12,6 +13,8 @@ import asyncio
 import pytest
 
 from repro.errors import ServeTimeoutError
+from repro.fleet import FleetConfig, FleetServer
+from repro.fleet.frontend import _ClientRelay
 from repro.serve import (
     AsyncServeClient,
     SensingServer,
@@ -140,11 +143,12 @@ class TestMalformedFrames:
 
     def test_oversized_frame_is_rejected_and_connection_closed(self):
         async def run():
-            server = SensingServer(ServeConfig(max_frame_bytes=4096))
+            server = SensingServer(ServeConfig())
             await server.start()
             try:
                 reader, writer = await _raw_connection(server)
-                writer.write(b'{"type":"ping","pad":"' + b"A" * 8192 + b'"}\n')
+                pad = b"A" * protocol.MAX_FRAME_BYTES
+                writer.write(b'{"type":"ping","pad":"' + pad + b'"}\n')
                 await writer.drain()
                 error = await _read_frame(reader)
                 eof = await asyncio.wait_for(reader.readline(), timeout=5.0)
@@ -187,6 +191,21 @@ class _ExplodingWriter:
 
     async def wait_closed(self):
         return None
+
+
+class _StuckWriter(_ExplodingWriter):
+    """A peer that stopped reading: a reply never drains."""
+
+    def __init__(self):
+        super().__init__()
+        self.transport = self
+        self.aborted = False
+
+    async def drain(self):
+        await asyncio.sleep(10)
+
+    def abort(self):
+        self.aborted = True
 
 
 class TestReplyWriteDisconnect:
@@ -233,19 +252,56 @@ class TestReplyWriteDisconnect:
         asyncio.run(run())
 
     def test_send_helper_counts_write_timeouts(self):
-        class _StuckWriter(_ExplodingWriter):
-            async def drain(self):
-                await asyncio.sleep(10)
-
         async def run():
             server = SensingServer(ServeConfig(write_timeout_s=0.05))
             await server.start()
             try:
-                delivered = await server._send(_StuckWriter(), {"type": "pong"})
-                return delivered, server.stats.write_timeouts
+                writer = _StuckWriter()
+                delivered = await server._send(writer, {"type": "pong"})
+                return delivered, server.stats.write_timeouts, writer.aborted
             finally:
                 await server.shutdown()
 
-        delivered, write_timeouts = asyncio.run(run())
+        delivered, write_timeouts, aborted = asyncio.run(run())
         assert delivered is False
         assert write_timeouts == 1
+        # Closing would hold the socket until the peer read the reply.
+        assert aborted
+
+
+class TestFleetRelayDeadlines:
+    """The fleet frontend holds clients to its ``serve`` deadlines."""
+
+    def test_reply_to_a_stalled_client_obeys_the_write_deadline(self):
+        async def run():
+            fleet = FleetServer(FleetConfig(serve=ServeConfig(write_timeout_s=0.05)))
+            writer = _StuckWriter()
+            relay = _ClientRelay(fleet, _ScriptedReader([]), writer)
+            sent = await asyncio.wait_for(relay._send_client_raw(b"{}\n"), timeout=1.0)
+            return sent, writer.aborted
+
+        assert asyncio.run(run()) == (False, True)
+
+    def test_idle_client_draws_timeout_error_at_the_idle_deadline(self):
+        class _SilentReader:
+            async def readline(self):
+                await asyncio.sleep(10)
+
+        class _RecordingWriter(_ExplodingWriter):
+            data = b""
+
+            def write(self, data):
+                self.data += data
+
+            async def drain(self):
+                return None
+
+        async def run():
+            fleet = FleetServer(FleetConfig(serve=ServeConfig(idle_timeout_s=0.05)))
+            writer = _RecordingWriter()
+            await asyncio.wait_for(_ClientRelay(fleet, _SilentReader(), writer).run(), 1.0)
+            return protocol.decode_frame(writer.data), fleet.stats.relay_errors
+
+        frame, relay_errors = asyncio.run(run())
+        assert frame["error"] == "ServeTimeoutError"
+        assert relay_errors == 1

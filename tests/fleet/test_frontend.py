@@ -253,7 +253,9 @@ class TestByteRelay:
         trace = synthetic_trace(rng, num_samples=256)
 
         async def run():
-            async with running_fleet(workers=2, record_dir=str(tmp_path)) as fleet:
+            async with running_fleet(
+                workers=2, serve=ServeConfig(record_dir=str(tmp_path))
+            ) as fleet:
                 given = []
                 for key, *_rest in _keys_per_shard(fleet).values():
                     client = await _client(fleet)

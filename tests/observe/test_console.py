@@ -15,7 +15,6 @@ from repro.telemetry import Telemetry
 
 from tests.helpers import wait_for_line
 
-SERVE_LINE = re.compile(r"^serve: listening on (\S+) port (\d+)$", re.MULTILINE)
 OBSERVE_LINE = re.compile(r"^observe: listening on (\S+) port (\d+)$", re.MULTILINE)
 
 
@@ -24,19 +23,32 @@ def _get_json(port, path):
         return json.loads(resp.read())
 
 
+def _dashboard_port(spawn_repro, command, *options):
+    """Start ``command`` with a co-hosted gateway; its port, once both bind lines parse."""
+    process, log = spawn_repro(
+        command, "--port", "0", "--duration", "30",
+        "--dashboard", "--dashboard-port", "0", *options,
+    )
+    bind_line = re.compile(rf"^{command}: listening on (\S+) port (\d+)$", re.MULTILINE)
+    assert wait_for_line(log, bind_line, process) is not None
+    port = int(wait_for_line(log, OBSERVE_LINE, process).group(2))
+    payload = _get_json(port, "/healthz")
+    assert payload["status"] == "ok"
+    assert payload["mode"] == command
+    assert _get_json(port, "/readyz")["ready"] is True
+    return port
+
+
 class TestServeDashboard:
     def test_dashboard_port_zero_prints_parseable_line(self, spawn_repro):
-        process, log = spawn_repro(
-            "serve", "--port", "0", "--duration", "30",
-            "--dashboard", "--dashboard-port", "0",
-        )
-        assert wait_for_line(log, SERVE_LINE, process) is not None
-        match = wait_for_line(log, OBSERVE_LINE, process)
-        port = int(match.group(2))
-        payload = _get_json(port, "/healthz")
-        assert payload["status"] == "ok"
-        assert payload["mode"] == "serve"
-        assert _get_json(port, "/readyz")["ready"] is True
+        _dashboard_port(spawn_repro, "serve")
+
+
+class TestFleetDashboard:
+    def test_fleet_dashboard_lists_its_shards(self, spawn_repro):
+        port = _dashboard_port(spawn_repro, "fleet", "--workers", "1")
+        shards = _get_json(port, "/api/shards")["shards"]
+        assert [shard["shard"] for shard in shards] == ["w0"]
 
 
 class TestObserveReplay:

@@ -142,19 +142,6 @@ class TestHealthMidStream:
         assert states == [DeviceHealth.DEGRADED, DeviceHealth.RECALIBRATING]
         assert pipeline.health is DeviceHealth.RECALIBRATING
 
-    def test_repair_mode_interpolates_nan_bursts(self, rng, fast_tracking_config):
-        samples = _trace(rng, num_samples=4 * 64)
-        samples[70:80] = complex(np.nan, np.nan)
-        condition = ConditionStage(repair=True)
-        pipeline, _ = _pipeline(
-            samples, fast_tracking_config, condition=condition
-        )
-        result = pipeline.run()
-        assert condition.repaired_sample_count == 10
-        # Repaired data reaches the tracker: every window is finite, so
-        # no column needed the degeneracy fallback.
-        assert all(c.estimator == "music" for c in result.columns)
-
     def test_unrepaired_nans_fall_back_per_frame(self, rng, fast_tracking_config):
         samples = _trace(rng, num_samples=4 * 64)
         samples[70:80] = complex(np.nan, np.nan)

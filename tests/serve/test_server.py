@@ -184,7 +184,7 @@ class TestProtocolErrors:
             async with running_server() as server:
                 client = await _client(server)
                 await client.open_session(config=FAST)
-                too_big = server.config.max_push_samples + 1
+                too_big = protocol.MAX_PUSH_SAMPLES + 1
                 with pytest.raises(ProtocolError, match="per-request limit"):
                     await client.push(_noise(rng, too_big))
                 # Alignment intact: the rejected block left nothing behind.

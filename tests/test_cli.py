@@ -305,6 +305,11 @@ DURATION_COMMANDS = (
     ["serve", "--port", "0"], ["fleet", "--port", "0"],
     ["observe", "--telemetry", "no-such-run"],
 )
+#: A service given a bad value it does not check still stops after a second.
+SERVICES = (
+    ["serve", "--port", "0", "--duration", "1"],
+    ["fleet", "--port", "0", "--duration", "1", "--workers", "1"],
+)
 #: (argv, the bad value the error message must name).
 USAGE_ERRORS = [
     (command + ["--duration", value], value)
@@ -339,6 +344,27 @@ USAGE_ERRORS = [
     (["load", "--seconds", "-1"], "-1"),
     (["load", "--resilient", "--pushes", "0"], "0"),
     (["load", "--block-size", "-5"], "-5"),
+] + [
+    (service + option, option[-1])
+    for service in SERVICES
+    for option in (
+        ["--port", "-1"],
+        ["--port", "99999"],
+        ["--dashboard", "--dashboard-port", "70000"],
+        ["--dashboard", "--dashboard-port", "-5"],
+        ["--idle-timeout", "-3"],
+        ["--write-timeout", "-2"],
+    )
+] + [
+    (SERVICES[1] + ["--drain-timeout", "-1"], "-1"),
+    (["observe", "--telemetry", "no-such-run", "--port", "-1"], "-1"),
+    (["observe", "--telemetry", "no-such-run", "--port", "99999"], "99999"),
+    (["observe", "--telemetry", "no-such-run", "--rate", "-1"], "-1"),
+    (["load", "--port", "-1"], "-1"),
+    (["load", "--port", "99999"], "99999"),
+    (["replay", "no-such-capture", "--port", "99999"], "99999"),
+    (["materials", "--distance", "-1", "--materials", "glass"], "-1"),
+    (["gestures", "01", "--distance", "-3"], "-3"),
 ]
 
 

@@ -467,29 +467,33 @@ _slot_op = st.tuples(st.sampled_from(SLOT_OPS), st.integers(0, 1))
 _session = st.tuples(st.booleans(), st.floats(0.0, 1e4))
 
 
-# The scenario of each per-path equivalence test is also a pinned @example, named in its comment.
+# The scenario of each per-path equivalence test is also a pinned @example, named in its comment;
+# "retired" marks a test deleted because its example here pins it.
 @settings(max_examples=20, derandomize=True, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     sessions=st.tuples(_session, _session),
     ops=st.lists(st.one_of(_push, _push, _push, _slot_op, _slot_op), min_size=1, max_size=12),
 )
-# runtime/test_tracker.py: TestGoldenEquivalence::test_clean_trace_matches_offline_bit_for_bit
-# (blocks of 48) and TestSchedulerHooks::test_ingest_poll_resolve_equals_push (served paths run
+# runtime/test_tracker.py (retired):
+# TestGoldenEquivalence::test_clean_trace_matches_offline_bit_for_bit (blocks of 48) and
+# TestSchedulerHooks::test_ingest_poll_resolve_equals_push (served paths run
 # ingest/poll/resolve); capture/test_replay.py: test_clean_run_replays_bit_identically and
 # test_recorded_session_replays_offline_and_live (blocks of 96);
 # fleet/test_frontend.py: test_streamed_columns_match_offline_bit_for_bit.
 @pinned([push(48, 96)] * 5 + [push(48)] * 3 + [push(16)])
-# runtime/test_tracker.py: TestGoldenEquivalence::test_equivalence_is_block_size_independent,
+# runtime/test_tracker.py (retired):
+# TestGoldenEquivalence::test_equivalence_is_block_size_independent,
 # block sizes 1 and 7, then 16, 64 and 200.
 @pinned([push(1, 7)] * 80)
 @pinned([push(16, 64)] * 17 + [("close", 0), ("open", 0), push(200), push(60)])
-# runtime/test_tracker.py: TestGoldenEquivalence::test_fault_injected_trace_still_matches_offline
+# runtime/test_tracker.py (retired):
+# TestGoldenEquivalence::test_fault_injected_trace_still_matches_offline
 # (a NaN burst, blocks of 32) and test_start_time_offsets_column_times (start_time_s 3.5);
 # serve/test_equivalence.py: test_fault_injected_trace_matches_offline (blocks of 64).
 @pinned([push(32, 64)] * 3 + [push(32, 64, True)] + [push(32, 64)] * 3, ((True, 3.5), (True, 0.0)))
-# serve/test_equivalence.py: test_mixed_estimator_sessions_stay_isolated; runtime/test_tracker.py:
-# TestGoldenEquivalence::test_beamforming_path_matches_offline (blocks of 64).
+# serve/test_equivalence.py: test_mixed_estimator_sessions_stay_isolated; runtime/test_tracker.py
+# (retired): TestGoldenEquivalence::test_beamforming_path_matches_offline (blocks of 64).
 @pinned([push(80, 64)] * 5, ((True, 0.0), (False, 0.0)))
 # serve/test_equivalence.py: test_concurrent_sessions_match_offline_bit_for_bit; its six
 # sessions at block sizes 48/80/160 become two slots, each opened twice.
