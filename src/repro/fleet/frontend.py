@@ -26,10 +26,11 @@ stack.  The frontend adds only routing-layer behavior:
   typed :class:`WorkerCrashedError` frames, which the resilient
   client treats as a reconnect-and-resume signal.
 * **Exact telemetry** — every shard answers the
-  ``telemetry_snapshot`` frame with its process registry in PR-3
-  merge form; the fleet's own ``telemetry_snapshot`` reply carries
-  the per-shard parts *and* their fold, so fleet-level aggregates are
-  provably the sum of the per-shard registries.
+  ``telemetry_snapshot`` frame with its serve counters (and, with
+  telemetry on, its registry) in merge form; the fleet's own
+  ``telemetry_snapshot`` reply carries the per-shard parts *and* their
+  fold, so fleet-level aggregates are the sum of the per-shard
+  records, with or without telemetry.
 
 Each worker mints its session ids in fleet form, ``<shard>:s<n>``, so
 ids never collide across shards and nothing on the relay rewrites

@@ -4,8 +4,9 @@ One asyncio listener serves two kinds of consumers:
 
 * **Scrapers** — ``/healthz``, ``/readyz`` (drain-aware: 503 once the
   attached server began shutting down), ``/metrics`` in Prometheus text
-  exposition (the process-global telemetry registry, the always-on
-  ``ServerStats``/``SchedulerStats``, and the hub's own accounting),
+  exposition (the process-global telemetry registry, the server's
+  always-on counters from ``SensingServer.metrics_snapshot()``, and
+  the hub's own accounting),
   ``/api/sessions[/{id}]``, and ``/api/captures``.
 * **Live subscribers** — ``/ws/live`` upgrades to a WebSocket fed by a
   hub :class:`~repro.observe.hub.Subscription`: spectrogram columns
@@ -78,54 +79,25 @@ class ObserveConfig:
             raise ValueError("replay_rate cannot be negative")
 
 
-def _server_metric_snapshots(server: Any) -> dict[str, dict[str, Any]]:
-    """``ServerStats``/``SchedulerStats`` as registry-snapshot dicts."""
-    snaps: dict[str, dict[str, Any]] = {}
-    server_snap = server.stats.snapshot()
-    for name, value in server_snap.items():
-        if name in ("request_p50_ms", "request_p99_ms"):
-            continue  # percentiles ride the full histogram below
-        snaps[f"server.{name}"] = {"type": "counter", "value": float(value)}
-    snaps["server.request_latency_ms"] = server.stats.request_latency_ms.snapshot()
-    snaps["server.active_sessions"] = {
-        "type": "gauge",
-        "value": float(len(server.sessions)),
-    }
-    scheduler = server.scheduler
-    sched_snap = scheduler.stats.snapshot()
-    for name in ("ticks", "windows", "shed_windows", "serial_windows",
-                 "watchdog_activations"):
-        snaps[f"scheduler.{name}"] = {
-            "type": "counter",
-            "value": float(sched_snap[name]),
-        }
-    snaps["scheduler.max_queue_depth"] = {
-        "type": "gauge",
-        "value": float(sched_snap["max_queue_depth"]),
-    }
-    snaps["scheduler.queue_depth"] = {
-        "type": "gauge",
-        "value": float(scheduler.queue_depth),
-    }
-    snaps["scheduler.batch_windows"] = scheduler.stats.occupancy.snapshot()
-    return snaps
-
-
 def _fleet_metric_snapshots(fleet: Any) -> dict[str, dict[str, Any]]:
-    """Fleet-level snapshots: merged shard telemetry + labeled gauges.
+    """Fleet-level snapshots: merged shard metrics + labeled families.
 
     The merged section folds the supervisor's cached per-shard
-    registry snapshots with the PR-3 exact merge, so the exposition's
-    fleet aggregates equal the sum of per-shard registries the same
-    way the single-server exposition equals ``telemetry-report``.  The
-    ``repro_fleet_shard_*`` families carry one sample per shard via
-    the labels support.
+    snapshots (every incarnation of each shard) with the exact merge,
+    so the fleet's ``server.*``/``scheduler.*`` counters and histograms
+    are the sum over shards, telemetry on or off.  Gauges are left
+    out of it: a merged gauge would read whichever shard merged last,
+    and the ``repro_fleet_shard_*`` families carry each shard's own
+    value, one labeled sample per shard.
     """
     from repro.fleet.frontend import merge_snapshots
 
-    snaps: dict[str, dict[str, Any]] = dict(
-        merge_snapshots(list(fleet.metric_snapshots().values()))
-    )
+    per_shard = fleet.metric_snapshots()
+    snaps: dict[str, dict[str, Any]] = {
+        name: snap
+        for name, snap in merge_snapshots(list(per_shard.values())).items()
+        if snap["type"] != "gauge"
+    }
     for name, value in fleet.stats.snapshot().items():
         snaps[f"fleet.{name}"] = {"type": "counter", "value": float(value)}
     shards = fleet.shard_snapshots()
@@ -143,14 +115,15 @@ def _fleet_metric_snapshots(fleet: Any) -> dict[str, dict[str, Any]]:
                 for shard in shards
             ],
         }
+    # The same merged record the total sums, so the two always agree.
     snaps["fleet.shard_columns_served"] = {
         "type": "counter",
         "samples": [
             {
-                "labels": {"shard": shard["shard"]},
-                "value": float(shard["columns_served"]),
+                "labels": {"shard": name},
+                "value": snap.get("server.columns_served", {}).get("value", 0.0),
             }
-            for shard in shards
+            for name, snap in per_shard.items()
         ],
     }
     return snaps
@@ -241,12 +214,7 @@ class ObserveGateway:
     async def _periodic_loop(self) -> None:
         while True:
             await asyncio.sleep(self.config.interval_s)
-            try:
-                self.hub.metrics_delta()
-            except ValueError:
-                # A registry reconfigured mid-run (tests swapping
-                # telemetry sessions) resets the delta chain.
-                self.hub._last_snapshot = {}
+            self.hub.metrics_delta()
             if self.server is not None and self.hub.has_subscribers:
                 self.hub.publish(
                     "server.stats",
@@ -396,7 +364,9 @@ class ObserveGateway:
         into ``metrics.json`` — so gateway aggregates equal the
         offline ``telemetry-report`` aggregates by construction, and
         monotone instruments scrape monotone.  In replay mode the
-        recorded ``metrics.json`` takes that section's place.
+        recorded ``metrics.json`` takes that section's place.  A live
+        server adds its ``metrics_snapshot()``; a fleet adds its merged
+        shard counters and per-shard families.
         """
         merged: dict[str, dict[str, Any]] = {}
         if self.replay is not None:
@@ -404,7 +374,7 @@ class ObserveGateway:
         else:
             merged.update(get_telemetry().metrics.snapshot())
         if self.server is not None:
-            merged.update(_server_metric_snapshots(self.server))
+            merged.update(self.server.metrics_snapshot())
         if self.fleet is not None:
             merged.update(_fleet_metric_snapshots(self.fleet))
         for name, value in self.hub.stats.snapshot().items():

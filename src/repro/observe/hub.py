@@ -15,11 +15,12 @@ the hot path safe to tap:
   the handler is parked in ``drain()``.  A slow dashboard can therefore
   never back-pressure the serve path — it loses its feed instead.
 * **metrics deltas merge exactly.**  :meth:`metrics_delta` snapshots the
-  process-global registry and publishes only the change since the last
-  call (:func:`repro.telemetry.metrics.diff_snapshot`); merging every
-  published delta into a fresh registry reproduces the live registry's
-  counters and histogram counts exactly, which is what makes gateway
-  aggregates provably equal ``telemetry-report`` offline aggregates.
+  process-global telemetry registry and publishes only the change since
+  the last call (:func:`repro.telemetry.metrics.diff_snapshot`); a
+  subscriber that merges every published delta into a fresh registry
+  reproduces the live registry's counters and histogram counts exactly.
+  The always-on serve counters are not in that registry while a
+  server runs; they reach subscribers in ``server.stats`` events.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.telemetry.context import get_telemetry
-from repro.telemetry.metrics import MetricsRegistry, diff_snapshot
+from repro.telemetry.metrics import diff_snapshot
 
 #: Default bound on one subscriber's unread-event queue.
 DEFAULT_MAX_QUEUE = 256
@@ -102,7 +103,6 @@ class TelemetryHub:
         self.max_queue = max_queue
         self.shed_after_drops = shed_after_drops
         self.stats = HubStats()
-        self.aggregate = MetricsRegistry()
         self._clock = clock
         self._subscriptions: list[Subscription] = []
         self._last_snapshot: dict[str, dict[str, Any]] = {}
@@ -180,15 +180,20 @@ class TelemetryHub:
     def metrics_delta(self) -> dict[str, Any] | None:
         """Publish the registry change since the last call, if any.
 
-        The delta is merged into :attr:`aggregate` *before* publishing,
-        so a scrape that races a publish still sees a consistent total.
         Returns the published event, or ``None`` when nothing changed.
+        A registry that cannot be diffed against the last snapshot (a
+        metric changed type or bucket edges, as when a test swaps
+        telemetry sessions) restarts the chain: the next call publishes
+        the whole registry.
         """
         current = get_telemetry().metrics.snapshot()
-        delta = diff_snapshot(self._last_snapshot, current)
+        try:
+            delta = diff_snapshot(self._last_snapshot, current)
+        except ValueError:
+            self._last_snapshot = {}
+            return None
         self._last_snapshot = current
         if not delta:
             return None
-        self.aggregate.merge(delta)
         self.stats.deltas_published += 1
         return self.publish("metrics.delta", metrics=delta)

@@ -19,7 +19,7 @@ _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
 
 
 def sanitize_metric_name(name: str, prefix: str = "repro") -> str:
-    """``serve.requests`` -> ``repro_serve_requests``."""
+    """``server.requests`` -> ``repro_server_requests``."""
     cleaned = _NAME_RE.sub("_", name)
     if not cleaned or cleaned[0].isdigit():
         cleaned = f"_{cleaned}"

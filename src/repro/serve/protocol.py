@@ -14,7 +14,11 @@ client sends        server replies          purpose
 ``server_stats``    ``server_stats_reply``  scheduler/occupancy stats
 ``telemetry_snapshot``  ``telemetry_snapshot_reply``  exact metrics
                                             snapshot of the serving
-                                            process (fleet merge)
+                                            process (fleet merge): its
+                                            ``server.*``/``scheduler.*``
+                                            counters, plus the opt-in
+                                            registry when telemetry
+                                            is on
 ==================  ======================  =======================
 
 Any request can instead draw an ``error`` frame carrying the

@@ -229,9 +229,6 @@ class MicroBatchScheduler:
     def shed(self, num_windows: int) -> ServeOverloadError:
         """Account a refused push; returns the error to send the client."""
         self.stats.shed_windows += num_windows
-        telemetry = get_telemetry()
-        if telemetry.enabled:
-            telemetry.metrics.counter("serve.shed_windows").inc(num_windows)
         if self.hub is not None:
             self.hub.publish(
                 "serve.shed", windows=num_windows, queue_depth=len(self._queue)
@@ -343,14 +340,6 @@ class MicroBatchScheduler:
         self.stats.windows += len(batch)
         self.stats.occupancy.observe(len(batch))
         self._last_progress = time.monotonic()
-        telemetry = get_telemetry()
-        if telemetry.enabled:
-            telemetry.metrics.counter("serve.ticks").inc()
-            telemetry.metrics.counter("serve.windows").inc(len(batch))
-            telemetry.metrics.histogram(
-                "serve.batch_windows", OCCUPANCY_BUCKETS
-            ).observe(len(batch))
-            telemetry.metrics.gauge("serve.queue_depth").set(len(self._queue))
 
     async def _run(self) -> None:
         while True:
@@ -398,9 +387,6 @@ class MicroBatchScheduler:
                 entry.future.set_result(frames[0])
             self.stats.serial_windows += 1
             self._last_progress = time.monotonic()
-            telemetry = get_telemetry()
-            if telemetry.enabled:
-                telemetry.metrics.counter("serve.serial_windows").inc()
             await asyncio.sleep(0)
 
     async def _watchdog(self) -> None:
@@ -425,7 +411,6 @@ class MicroBatchScheduler:
                 self.stats.watchdog_activations += 1
                 telemetry = get_telemetry()
                 if telemetry.enabled:
-                    telemetry.metrics.counter("serve.watchdog_activations").inc()
                     telemetry.events.emit(
                         "serve.watchdog_degraded",
                         queued_windows=len(self._queue),

@@ -12,12 +12,12 @@ Sessions are connection-scoped: they die with their socket, and a
 session that walks its health machine to FAILED is closed alone — the
 degradation boundary the single-tenant pipeline never needed.
 
-Request telemetry follows the stack's conventions: with a telemetry
-session active every request runs inside a ``serve.<type>`` span,
-counters track requests/errors/sessions, and the scheduler feeds
-queue-depth and batch-occupancy instruments.  Always-on counters
-(:class:`ServerStats`, the scheduler's stats) keep the load benchmark
-and ``server_stats`` frame working with telemetry off.
+Each serve event is counted once, in the always-on :class:`ServerStats`
+and the scheduler's stats; :meth:`SensingServer.metrics_snapshot`
+exports them for ``/metrics``, the ``telemetry_snapshot`` reply (the
+fleet's merge feed) and, at shutdown, an enabled telemetry session.
+With telemetry on, every request also runs inside a ``serve.<type>``
+span, and disconnects and rejected requests become events.
 """
 
 from __future__ import annotations
@@ -235,6 +235,38 @@ class SensingServer:
             )
         ]
 
+    def metrics_snapshot(self) -> dict[str, dict[str, Any]]:
+        """The always-on serve counters in registry-snapshot (merge) form.
+
+        ``server.*`` from :class:`ServerStats` and ``scheduler.*`` from
+        the scheduler's stats: counters and histograms add exactly
+        across processes; gauges are this process's current values.
+        """
+        scheduler = self.scheduler.stats
+        counters = {
+            f"server.{name}": value
+            for name, value in self.stats.snapshot().items()
+            # The percentiles ride the full histogram below.
+            if name not in ("request_p50_ms", "request_p99_ms")
+        }
+        for name in ("ticks", "windows", "shed_windows", "serial_windows",
+                     "watchdog_activations"):
+            counters[f"scheduler.{name}"] = getattr(scheduler, name)
+        gauges = {
+            "server.active_sessions": len(self.sessions),
+            "scheduler.max_queue_depth": scheduler.max_queue_depth,
+            "scheduler.queue_depth": self.scheduler.queue_depth,
+        }
+        snaps = {
+            name: {"type": "counter", "value": float(value)}
+            for name, value in counters.items()
+        }
+        for name, value in gauges.items():
+            snaps[name] = {"type": "gauge", "value": float(value)}
+        snaps["server.request_latency_ms"] = self.stats.request_latency_ms.snapshot()
+        snaps["scheduler.batch_windows"] = scheduler.occupancy.snapshot()
+        return snaps
+
     async def start(self) -> int:
         """Bind, start the scheduler, return the bound port."""
         if self._server is not None:
@@ -255,7 +287,8 @@ class SensingServer:
         the scheduler (every queued window completes, so in-flight
         push requests get their columns), wait for those requests'
         replies to reach the wire, then close the remaining client
-        connections.  Idempotent.
+        connections, and merge the final :meth:`metrics_snapshot` into
+        an enabled telemetry registry.  Idempotent.
         """
         if self._stopped.is_set():
             return
@@ -279,6 +312,9 @@ class SensingServer:
             except (ConnectionError, OSError):  # pragma: no cover - teardown races
                 pass
         self._connections.clear()
+        telemetry = get_telemetry()
+        if telemetry.enabled:
+            telemetry.metrics.merge(self.metrics_snapshot())
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -369,11 +405,6 @@ class SensingServer:
                 health=session.health.value,
                 columns_out=session.stats.columns_out,
             )
-        telemetry = get_telemetry()
-        if telemetry.enabled:
-            telemetry.metrics.gauge("serve.active_sessions").set(
-                len(self.sessions)
-            )
         if self.hub is not None:
             self.hub.publish(
                 "session.closed",
@@ -385,15 +416,11 @@ class SensingServer:
 
     def _count_error(self) -> None:
         self.stats.errors += 1
-        telemetry = get_telemetry()
-        if telemetry.enabled:
-            telemetry.metrics.counter("serve.errors").inc()
 
     def _count_disconnect(self, reason: str) -> None:
         self.stats.disconnects += 1
         telemetry = get_telemetry()
         if telemetry.enabled:
-            telemetry.metrics.counter("serve.disconnects").inc()
             telemetry.events.emit("serve.disconnect", reason=reason)
         if self.hub is not None:
             self.hub.publish("serve.disconnect", reason=reason)
@@ -408,9 +435,6 @@ class SensingServer:
         self.stats.requests += 1
         start = time.perf_counter()
         telemetry = get_telemetry()
-        if telemetry.enabled:
-            telemetry.metrics.counter("serve.requests").inc()
-            telemetry.metrics.counter(f"serve.requests.{kind}").inc()
         try:
             with telemetry.span(f"serve.{kind}", session=session_id):
                 if kind == protocol.PING:
@@ -466,19 +490,22 @@ class SensingServer:
     def _telemetry_snapshot_reply(self) -> dict[str, Any]:
         """This process's exact metrics snapshot (the fleet merge feed).
 
-        The snapshot is the PR-3 merge form: a fleet frontend folds one
+        :meth:`metrics_snapshot` laid over the enabled telemetry
+        registry's snapshot, in merge form: a fleet frontend folds one
         per worker into a fresh registry with
         :meth:`~repro.telemetry.metrics.MetricsRegistry.merge`, and the
-        result provably equals the sum of the per-process registries.
-        With telemetry disabled the reply is flagged and empty rather
-        than an error, so probing a bare server stays harmless.
+        result equals the sum of the per-process records.  ``enabled``
+        says whether opt-in telemetry is on; the serve counters ride
+        the reply either way.
         """
         telemetry = get_telemetry()
+        metrics = telemetry.metrics.snapshot() if telemetry.enabled else {}
+        metrics.update(self.metrics_snapshot())
         return {
             "type": protocol.TELEMETRY_SNAPSHOT_REPLY,
             "enabled": telemetry.enabled,
             "dsp_backend": active_backend_name(),
-            "metrics": telemetry.metrics.snapshot() if telemetry.enabled else {},
+            "metrics": metrics,
         }
 
     def _open_session(
@@ -534,12 +561,6 @@ class SensingServer:
         self.sessions[session.id] = session
         owned[session.id] = session
         self.stats.sessions_opened += 1
-        telemetry = get_telemetry()
-        if telemetry.enabled:
-            telemetry.metrics.counter("serve.sessions_opened").inc()
-            if checkpoint is not None:
-                telemetry.metrics.counter("serve.sessions_resumed").inc()
-            telemetry.metrics.gauge("serve.active_sessions").set(len(self.sessions))
         if self.hub is not None:
             self.hub.publish(
                 "session.opened",
@@ -643,9 +664,6 @@ class SensingServer:
                     }
                 )
         self.stats.columns_served += len(columns)
-        telemetry = get_telemetry()
-        if telemetry.enabled and columns:
-            telemetry.metrics.counter("serve.columns").inc(len(columns))
         health_events = [
             {"state": event.state.value, "reason": event.reason}
             for event in ingest.health_events

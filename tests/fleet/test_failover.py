@@ -15,7 +15,9 @@ import pytest
 
 from repro.core.tracking import compute_spectrogram
 from repro.errors import ShardDrainingError, WorkerCrashedError
-from repro.serve import AsyncServeClient
+from repro.observe import ObserveGateway, TelemetryHub
+from repro.observe.prometheus import parse_exposition
+from repro.serve import AsyncServeClient, run_load
 from repro.serve.resilient import BackoffPolicy, ResilientServeClient
 from repro.serve.session import config_from_wire
 
@@ -153,6 +155,49 @@ class TestCrash:
                 assert states == {"w0": "up", "w1": "up"}
 
         asyncio.run(run())
+
+    def test_served_totals_count_every_incarnation(self):
+        """Telemetry off: ``/metrics`` totals exist and survive a SIGKILL."""
+
+        def scrape(fleet):
+            samples = parse_exposition(
+                ObserveGateway(TelemetryHub(), fleet=fleet).render_metrics()
+            )
+            shards = {
+                key: value
+                for key, value in samples.items()
+                if key.startswith("repro_fleet_shard_columns_served{")
+            }
+            return samples, shards
+
+        async def run():
+            async with running_fleet(workers=2) as fleet:
+                report = await run_load(
+                    "127.0.0.1", fleet.port, sessions=4, pushes=4,
+                    block_size=200, config=FAST,
+                )
+                await _wait_for(
+                    lambda: scrape(fleet)[0].get("repro_server_columns_served")
+                    == report.columns
+                )
+                before = scrape(fleet)
+                fleet._shards["w0"].handle.kill()
+                # Restarted, and the new incarnation probed at least once.
+                await _wait_for(
+                    lambda: fleet._shards["w0"].generation == 1
+                    and fleet._shards["w0"].metrics_cache,
+                    timeout_s=30.0,
+                )
+                return report, before, scrape(fleet)
+
+        report, before, after = asyncio.run(run())
+        w0 = 'repro_fleet_shard_columns_served{shard="w0"}'
+        for samples, shards in (before, after):
+            assert samples["repro_server_columns_served"] == report.columns > 0
+            assert sum(shards.values()) == report.columns
+            assert "repro_server_active_sessions" not in samples
+        assert before[1][w0] > 0
+        assert after[1][w0] == before[1][w0]
 
     def test_resilient_session_survives_worker_kill_bit_exactly(self, rng):
         async def kill(fleet):

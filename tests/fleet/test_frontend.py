@@ -304,11 +304,11 @@ class TestTelemetryMerge:
         assert reply["metrics"] == merge_snapshots(parts)
         # Real work happened on both shards, and the fleet total is
         # exactly the per-shard sum (counter merge is exact addition).
-        merged_columns = reply["metrics"]["serve.columns"]["value"]
+        merged_columns = reply["metrics"]["server.columns_served"]["value"]
         shard_columns = [
-            part["serve.columns"]["value"]
+            part["server.columns_served"]["value"]
             for part in reply["shards"].values()
-            if "serve.columns" in part
+            if "server.columns_served" in part
         ]
         assert merged_columns == sum(shard_columns)
         assert merged_columns > 0

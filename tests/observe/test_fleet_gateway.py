@@ -69,9 +69,11 @@ class StubFleet:
 
     def metric_snapshots(self):
         a = MetricsRegistry()
-        a.counter("serve.columns").inc(40)
+        a.counter("server.columns_served").inc(40)
+        a.gauge("server.active_sessions").set(2)
         b = MetricsRegistry()
-        b.counter("serve.columns").inc(7)
+        b.counter("server.columns_served").inc(7)
+        b.gauge("server.active_sessions").set(1)
         return {"w0": a.snapshot(), "w1": b.snapshot()}
 
     def _stats_reply(self):
@@ -167,9 +169,11 @@ class TestFleetRoutes:
         assert samples['repro_fleet_shard_restarts{shard="w1"}'] == 1.0
         assert samples['repro_fleet_shard_columns_served{shard="w0"}'] == 40.0
         assert samples['repro_fleet_shard_columns_served{shard="w1"}'] == 7.0
-        # The merged telemetry section is the exact fold of the shard
-        # registries: 40 + 7.
-        assert samples["repro_serve_columns"] == 47.0
+        # The merged section is the exact fold of the shard snapshots:
+        # 40 + 7.  A merged gauge would show one shard's value, so
+        # gauges stay in the labeled per-shard families only.
+        assert samples["repro_server_columns_served"] == 47.0
+        assert "repro_server_active_sessions" not in samples
         assert samples["repro_fleet_sessions_routed"] == 5.0
 
 

@@ -147,8 +147,6 @@ class TestMetricsDelta:
         for exact_key in ("buckets", "counts", "count", "min", "max"):
             assert mirror_hist[exact_key] == live_hist[exact_key]
         assert mirror_hist["sum"] == pytest.approx(live_hist["sum"])
-        # The hub's own aggregate tracked the same totals.
-        assert hub.aggregate.snapshot()["music.windows"] == live["music.windows"]
 
     def test_gauge_is_last_write_wins(self, tmp_path):
         telemetry = self._configured(tmp_path)
@@ -159,7 +157,17 @@ class TestMetricsDelta:
         telemetry.metrics.gauge("ring.occupancy").set(3.0)
         event = hub.metrics_delta()
         assert event["metrics"]["ring.occupancy"]["value"] == 3.0
-        assert hub.aggregate.snapshot()["ring.occupancy"]["value"] == 3.0
+
+    def test_swapped_registry_restarts_the_delta_chain(self, tmp_path):
+        hub = TelemetryHub()
+        hub.subscribe()
+        self._configured(tmp_path).metrics.counter("ring.occupancy").inc(4)
+        hub.metrics_delta()
+        # A new session reuses the name as a gauge: no diff exists.
+        self._configured(tmp_path).metrics.gauge("ring.occupancy").set(2.0)
+        assert hub.metrics_delta() is None
+        event = hub.metrics_delta()
+        assert event["metrics"] == {"ring.occupancy": {"type": "gauge", "value": 2.0}}
 
 
 class TestDiffSnapshot:

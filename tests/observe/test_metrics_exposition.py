@@ -157,6 +157,29 @@ class TestCounterMonotonicity:
         asyncio.run(run())
 
 
+class TestOneRecordPerCount:
+    def test_serve_counts_have_no_telemetry_twin(self, rng):
+        """With telemetry on, each serve count still shows once."""
+
+        async def run():
+            set_telemetry(Telemetry(enabled=True))
+            async with running_stack(interval_s=30.0) as (server, gateway):
+                client = AsyncServeClient("127.0.0.1", server.port)
+                await client.connect()
+                await client.open_session(config=FAST)
+                received = 0
+                for _ in range(5):
+                    received += len((await client.push(_noise(rng, 200))).columns)
+                await client.aclose()
+                _, _, body = await http_get(gateway.port, "/metrics")
+                return received, parse_exposition(body.decode())
+
+        received, samples = asyncio.run(run())
+        assert received > 0
+        assert [key for key in samples if key.startswith("repro_serve_")] == []
+        assert samples["repro_server_columns_served"] == received
+
+
 class TestGatewayEqualsOffline:
     def test_exposition_equals_flushed_metrics_json(self, tmp_path, rng):
         """Every metric ``telemetry-report`` reads appears in ``/metrics``

@@ -6,6 +6,7 @@ through the programmatic client.
 """
 
 import asyncio
+import json
 from contextlib import asynccontextmanager
 
 import numpy as np
@@ -25,6 +26,9 @@ from repro.serve import (
     ServeConfig,
 )
 from repro.serve import protocol
+from repro.telemetry import Telemetry
+from repro.telemetry.context import reset_telemetry, set_telemetry
+from repro.telemetry.session import METRICS_FILE
 
 from tests.helpers import FAST
 
@@ -291,3 +295,30 @@ class TestShutdown:
             assert not server.scheduler.running
 
         asyncio.run(run())
+
+    def test_enabled_telemetry_flushes_the_serve_counters(self, tmp_path, rng):
+        async def run():
+            server = SensingServer(ServeConfig())
+            await server.start()
+            client = await _client(server)
+            await client.open_session(config=FAST)
+            received = 0
+            for _ in range(3):
+                received += len((await client.push(_noise(rng, 200))).columns)
+            await client.close_session()
+            await client.aclose()
+            await server.shutdown()
+            await server.shutdown()  # idempotent: the counts merge once
+            return received
+
+        telemetry = set_telemetry(Telemetry(enabled=True, out_dir=tmp_path))
+        try:
+            received = asyncio.run(run())
+            telemetry.flush()
+        finally:
+            reset_telemetry()
+        metrics = json.loads((tmp_path / METRICS_FILE).read_text(encoding="utf-8"))
+        assert received > 0
+        assert metrics["server.columns_served"]["value"] == received
+        assert metrics["server.sessions_closed"]["value"] == 1
+        assert [name for name in metrics if name.startswith("serve.")] == []

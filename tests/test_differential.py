@@ -490,13 +490,15 @@ _session = st.tuples(st.booleans(), st.floats(0.0, 1e4))
 # runtime/test_tracker.py (retired):
 # TestGoldenEquivalence::test_fault_injected_trace_still_matches_offline
 # (a NaN burst, blocks of 32) and test_start_time_offsets_column_times (start_time_s 3.5);
-# serve/test_equivalence.py: test_fault_injected_trace_matches_offline (blocks of 64).
+# serve/test_equivalence.py (retired): test_fault_injected_trace_matches_offline (blocks of 64).
 @pinned([push(32, 64)] * 3 + [push(32, 64, True)] + [push(32, 64)] * 3, ((True, 3.5), (True, 0.0)))
-# serve/test_equivalence.py: test_mixed_estimator_sessions_stay_isolated; runtime/test_tracker.py
-# (retired): TestGoldenEquivalence::test_beamforming_path_matches_offline (blocks of 64).
+# serve/test_equivalence.py (retired): test_mixed_estimator_sessions_stay_isolated;
+# runtime/test_tracker.py (retired): TestGoldenEquivalence::test_beamforming_path_matches_offline
+# (blocks of 64).
 @pinned([push(80, 64)] * 5, ((True, 0.0), (False, 0.0)))
-# serve/test_equivalence.py: test_concurrent_sessions_match_offline_bit_for_bit; its six
-# sessions at block sizes 48/80/160 become two slots, each opened twice.
+# serve/test_equivalence.py (retired): test_concurrent_sessions_match_offline_bit_for_bit; its
+# six sessions at block sizes 48/80/160 become two slots, each opened twice, and its
+# mean_batch_windows > 1 check is the serve path's windows / ticks > 1 below.
 @pinned(
     [push(48, 80)] * 6 + [push(48)] * 4 + [("close", 0), ("close", 1), ("open", 0), ("open", 1)]
     + [push(160, 48)] * 3 + [push(0, 48)] * 7
