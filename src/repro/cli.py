@@ -591,14 +591,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
         chaos = ServerChaos(schedule)
 
     def summary(server) -> str:
-        snapshot = server.stats.snapshot()
-        scheduler = server.scheduler.stats.snapshot()
+        stats, scheduler = server.stats, server.scheduler.stats
         return (
-            f"serve: handled {snapshot['requests']} requests "
-            f"({snapshot['errors']} errors), served "
-            f"{snapshot['columns_served']} columns in "
-            f"{scheduler['ticks']} batches "
-            f"(mean occupancy {scheduler['mean_batch_windows']:.1f} windows)"
+            f"serve: handled {stats.requests} requests "
+            f"({stats.errors} errors), served "
+            f"{stats.columns_served} columns in "
+            f"{scheduler.ticks} batches "
+            f"(mean occupancy {scheduler.mean_batch_windows:.1f} windows)"
         )
 
     return _run_service(

@@ -25,12 +25,16 @@ stack.  The frontend adds only routing-layer behavior:
   shard name (same ring points); sessions orphaned by the crash draw
   typed :class:`WorkerCrashedError` frames, which the resilient
   client treats as a reconnect-and-resume signal.
-* **Exact telemetry** — every shard answers the
-  ``telemetry_snapshot`` frame with its serve counters (and, with
-  telemetry on, its registry) in merge form; the fleet's own
-  ``telemetry_snapshot`` reply carries the per-shard parts *and* their
-  fold, so fleet-level aggregates are the sum of the per-shard
-  records, with or without telemetry.
+* **Exact telemetry** — the supervisor probes each live shard once
+  per tick with ``telemetry_snapshot``, whose reply carries the shard's
+  serve counters (and, with telemetry on, its registry) in merge form,
+  and caches the last reply of every shard incarnation.  Every fleet
+  number is read from that cache: counters and histograms add over
+  every incarnation, levels (``active_sessions``, ``queue_depth``) add
+  over live shards, and the ``max_queue_depth`` high-water mark is the
+  largest any incarnation reported.  The fleet's ``server_stats`` reply
+  is :func:`~repro.serve.server.stats_view` of that fold, as bare
+  serve's is of its own snapshot.
 
 Each worker mints its session ids in fleet form, ``<shard>:s<n>``, so
 ids never collide across shards and nothing on the relay rewrites
@@ -65,7 +69,7 @@ from repro.fleet.ring import HashRing
 from repro.fleet.worker import WorkerHandle, WorkerSpec
 from repro.serve import protocol
 from repro.serve.client import AsyncServeClient
-from repro.serve.server import ServeConfig, read_line, write_line
+from repro.serve.server import ServeConfig, read_line, stats_view, write_line
 from repro.telemetry.context import get_telemetry
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -74,6 +78,10 @@ __all__ = ["FleetConfig", "FleetServer", "FleetStats", "merge_snapshots"]
 #: The longest the frontend waits on one shard: a connect, a probe, or
 #: the reply to one relayed request.
 BACKEND_TIMEOUT_S = 30.0
+
+#: Seconds between supervisor ticks.  Each tick restarts a dead shard
+#: or probes a live one once; served totals lag a SIGKILL by one tick.
+SUPERVISOR_INTERVAL_S = 0.25
 
 
 @dataclass(frozen=True)
@@ -93,14 +101,13 @@ class FleetConfig:
             frontend↔worker connections sit idle legitimately.
         telemetry_dir: when set, each worker runs an enabled telemetry
             session in ``<dir>/shard-<name>`` and the frontend merges
-            every shard's final snapshot into its own registry at
-            shutdown — ``repro telemetry-report <dir>`` then reports
+            :meth:`FleetServer.metrics_snapshot` into its own registry
+            at shutdown — ``repro telemetry-report <dir>`` then reports
             exact fleet totals.
     """
 
     workers: int = 2
     serve: ServeConfig = field(default_factory=ServeConfig)
-    supervisor_interval_s: float = 0.25
     drain_timeout_s: float = 15.0
     telemetry_dir: str | None = None
     dsp_backend: str | None = None
@@ -108,8 +115,6 @@ class FleetConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"a fleet needs at least one worker, got {self.workers}")
-        if self.supervisor_interval_s <= 0:
-            raise ValueError("supervisor_interval_s must be positive")
 
 
 @dataclass
@@ -150,28 +155,37 @@ class _ShardState:
         self.draining = False
         self.stopped = False
         self.restarts = 0
-        #: Latest supervisor-fetched ``server_stats`` reply.
-        self.stats_cache: dict[str, Any] = {}
-        #: Latest telemetry snapshot of the *current* incarnation.
-        self.metrics_cache: dict[str, Any] = {}
-        #: Final snapshots of retired incarnations (drained or crashed)
-        #: — their served work must not vanish from fleet totals.
-        self.retired_metrics: list[dict[str, Any]] = []
+        #: The last ``telemetry_snapshot`` reply of each incarnation, the
+        #: current one last.  A retired incarnation (crashed or drained)
+        #: keeps its final probe, so its served work stays in the totals.
+        self.probes: list[dict[str, Any]] = [{}]
 
     @property
     def name(self) -> str:
         return self.spec.name
 
     @property
-    def routable(self) -> bool:
-        return not self.draining and not self.stopped and self.handle.alive
+    def live(self) -> bool:
+        return not self.stopped and self.handle.alive
 
-    def merged_metrics(self) -> dict[str, Any]:
-        """This shard's exact totals across all its incarnations."""
-        return merge_snapshots([*self.retired_metrics, self.metrics_cache])
+    @property
+    def routable(self) -> bool:
+        return self.live and not self.draining
+
+    def current(self, name: str) -> int:
+        """A count or level of the current incarnation, as last probed."""
+        return _value(self.probes[-1].get("metrics", {}), name)
+
+    def totals(self) -> dict[str, Any]:
+        """Counters and histograms summed over every incarnation.
+
+        Gauges are dropped: a merged gauge would read whichever
+        incarnation merged last.
+        """
+        merged = merge_snapshots([probe.get("metrics", {}) for probe in self.probes])
+        return {name: snap for name, snap in merged.items() if snap["type"] != "gauge"}
 
     def snapshot(self) -> dict[str, Any]:
-        stats = self.stats_cache
         state = (
             "drained"
             if self.stopped
@@ -188,12 +202,16 @@ class _ShardState:
             "port": self.handle.port,
             "generation": self.generation,
             "restarts": self.restarts,
-            "active_sessions": stats.get("active_sessions", 0),
-            "queue_depth": stats.get("queue_depth", 0),
-            "columns_served": stats.get("server", {}).get("columns_served", 0),
-            "requests": stats.get("server", {}).get("requests", 0),
-            "dsp_backend": stats.get("dsp_backend"),
+            "active_sessions": self.current("server.active_sessions"),
+            "queue_depth": self.current("scheduler.queue_depth"),
+            "columns_served": self.current("server.columns_served"),
+            "requests": self.current("server.requests"),
+            "dsp_backend": self.probes[-1].get("dsp_backend"),
         }
+
+
+def _value(metrics: dict[str, Any], name: str) -> int:
+    return int(metrics.get(name, {}).get("value", 0))
 
 
 def merge_snapshots(parts: list[dict[str, Any]]) -> dict[str, Any]:
@@ -203,28 +221,6 @@ def merge_snapshots(parts: list[dict[str, Any]]) -> dict[str, Any]:
         if part:
             registry.merge(part)
     return registry.snapshot()
-
-
-def _aggregate(parts: list[dict[str, Any]]) -> dict[str, Any]:
-    """Sum per-shard stats dicts into one fleet view.
-
-    Integer counters add exactly; float readouts (latency percentiles,
-    batch occupancy) take the worst shard; strings stay when uniform
-    and degrade to ``"mixed"`` when shards disagree.
-    """
-    out: dict[str, Any] = {}
-    for part in parts:
-        for key, value in part.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                if key not in out:
-                    out[key] = value
-                elif out[key] != value:
-                    out[key] = "mixed"
-            elif isinstance(value, float):
-                out[key] = max(float(out.get(key, 0.0)), value)
-            else:
-                out[key] = int(out.get(key, 0)) + value
-    return out
 
 
 class FleetServer:
@@ -323,18 +319,13 @@ class FleetServer:
         for writer in list(self._connections):
             writer.close()
         self._connections.clear()
-        # Final exact snapshots before the workers go away; with the
-        # frontend's own telemetry enabled, fold the fleet totals in so
-        # `telemetry-report` over this run reports the sum of shards.
-        for state in self._shards.values():
-            if state.handle.alive:
-                await self._refresh_shard(state)
+        # Final probes before the workers go away; an enabled frontend
+        # registry takes the fleet's fold, so `telemetry-report` over
+        # this run reports the sum of shards.
+        await self._probe_live()
         telemetry = get_telemetry()
         if telemetry.enabled:
-            for state in self._shards.values():
-                merged = state.merged_metrics()
-                if merged:
-                    telemetry.metrics.merge(merged)
+            telemetry.metrics.merge(self.metrics_snapshot())
         for state in self._shards.values():
             await state.handle.stop()
             state.stopped = True
@@ -343,20 +334,19 @@ class FleetServer:
     # Supervision, drain, restart
     # ------------------------------------------------------------------
 
-    async def _fetch(self, state: _ShardState, what: str) -> dict[str, Any] | None:
-        """One stats/telemetry probe of a shard (fresh connection)."""
+    async def _probe(self, state: _ShardState) -> bool:
+        """One ``telemetry_snapshot`` probe of a shard (fresh connection).
+
+        The reply becomes the current incarnation's cache, unless a
+        restart began meanwhile.  Returns whether the shard answered.
+        """
+        generation = state.generation
         probe = AsyncServeClient("127.0.0.1", state.handle.port)
         try:
             await asyncio.wait_for(probe.connect(), timeout=BACKEND_TIMEOUT_S)
-            if what == "stats":
-                reply = await asyncio.wait_for(
-                    probe.server_stats(), timeout=BACKEND_TIMEOUT_S
-                )
-            else:
-                reply = await asyncio.wait_for(
-                    probe.telemetry_snapshot(), timeout=BACKEND_TIMEOUT_S
-                )
-            return reply
+            reply = await asyncio.wait_for(
+                probe.telemetry_snapshot(), timeout=BACKEND_TIMEOUT_S
+            )
         except (
             ConnectionError,
             OSError,
@@ -364,32 +354,34 @@ class FleetServer:
             asyncio.IncompleteReadError,
             ReproError,
         ):
-            return None
+            return False
         finally:
             await probe.aclose()
+        if state.generation != generation:
+            return False
+        state.probes[-1] = reply
+        return True
 
-    async def _refresh_shard(self, state: _ShardState) -> None:
-        stats = await self._fetch(state, "stats")
-        if stats is not None:
-            state.stats_cache = stats
-        snapshot = await self._fetch(state, "telemetry")
-        if snapshot is not None:
-            state.metrics_cache = snapshot.get("metrics", {})
+    async def _probe_live(self) -> None:
+        """Probe every live shard once, so the fold is fresh."""
+        for state in self._shards.values():
+            if state.live:
+                await self._probe(state)
 
     async def _supervise(self) -> None:
-        """Restart crashed shards; keep per-shard caches fresh."""
+        """Restart crashed shards; probe each live one once per tick."""
         # Shutdown cancels this task, but on Python 3.11 a cancel that
         # lands as a probe's ``wait_for`` completes is swallowed; the
         # stop flag still ends the loop, so shutdown never waits forever.
         while not self._stopped.is_set():
-            await asyncio.sleep(self.config.supervisor_interval_s)
+            await asyncio.sleep(SUPERVISOR_INTERVAL_S)
             for state in list(self._shards.values()):
                 if state.stopped or state.draining:
                     continue
                 if not state.handle.alive:
                     await self._restart_shard(state)
                     continue
-                await self._refresh_shard(state)
+                await self._probe(state)
             if self.hub is not None:
                 self.hub.publish("fleet.shards", shards=self.shard_snapshots())
 
@@ -397,13 +389,11 @@ class FleetServer:
         """Bring a crashed shard back under the same name/ring points."""
         self.stats.worker_crashes += 1
         self._ring.remove(state.name)
-        # The dead incarnation's last known snapshot is the best record
-        # of its served work; keep it in the shard's running total.
-        if state.metrics_cache:
-            state.retired_metrics.append(state.metrics_cache)
-            state.metrics_cache = {}
+        # The dead incarnation keeps its last probe, the best record of
+        # its served work; the next one starts an empty cache.
+        if state.probes[-1]:
+            state.probes.append({})
         state.generation += 1
-        state.stats_cache = {}
         handle = WorkerHandle(state.spec)
         try:
             await handle.start()
@@ -449,24 +439,15 @@ class FleetServer:
     async def _finish_drain(self, state: _ShardState) -> None:
         """Stop a draining worker once its last session migrates."""
         deadline = time.monotonic() + self.config.drain_timeout_s
-        while time.monotonic() < deadline:
-            stats = await self._fetch(state, "stats")
-            if stats is not None:
-                state.stats_cache = stats
-                if stats.get("active_sessions", 1) == 0:
-                    break
-            if not state.handle.alive:
+        # Every poll is a probe, so the last one is the final record.
+        while not (
+            await self._probe(state) and state.current("server.active_sessions") == 0
+        ):
+            if not state.handle.alive or time.monotonic() >= deadline:
                 break
             await asyncio.sleep(0.05)
-        snapshot = await self._fetch(state, "telemetry")
-        if snapshot is not None:
-            state.metrics_cache = snapshot.get("metrics", {})
-        if state.metrics_cache:
-            state.retired_metrics.append(state.metrics_cache)
-            state.metrics_cache = {}
         await state.handle.stop()
         state.stopped = True
-        state.stats_cache = {}
 
     # ------------------------------------------------------------------
     # Observability views
@@ -479,39 +460,42 @@ class FleetServer:
         ]
 
     def metric_snapshots(self) -> dict[str, dict[str, Any]]:
-        """Cached per-shard metric snapshots (exact merge form)."""
+        """Each shard's :meth:`_ShardState.totals`, by shard name."""
         return {
-            name: state.merged_metrics()
-            for name, state in sorted(self._shards.items())
+            name: state.totals() for name, state in sorted(self._shards.items())
         }
+
+    def metrics_snapshot(self) -> dict[str, dict[str, Any]]:
+        """The fleet's serve counters and histograms, in merge form.
+
+        The exact fold of every shard incarnation's cached probe; it
+        holds no gauges.  ``/metrics`` renders it and shutdown merges
+        it into an enabled telemetry registry.
+        """
+        return merge_snapshots(list(self.metric_snapshots().values()))
 
     def _stats_reply(self) -> dict[str, Any]:
-        shards = [state.stats_cache for state in self._shards.values()]
-        merged = _aggregate([snap for snap in shards if snap])
-        server = _aggregate(
-            [snap.get("server", {}) for snap in shards if snap]
+        """:func:`stats_view` of the fold, with the fleet's levels."""
+        live = [state for state in self._shards.values() if state.live]
+        metrics = self.metrics_snapshot()
+        for name in ("server.active_sessions", "scheduler.queue_depth"):
+            level = sum(state.current(name) for state in live)
+            metrics[name] = {"type": "gauge", "value": float(level)}
+        high = max(
+            _value(probe.get("metrics", {}), "scheduler.max_queue_depth")
+            for state in self._shards.values()
+            for probe in state.probes
         )
-        scheduler = _aggregate(
-            [snap.get("scheduler", {}) for snap in shards if snap]
-        )
-        return {
-            "type": protocol.SERVER_STATS_REPLY,
-            "active_sessions": merged.get("active_sessions", 0),
-            "queue_depth": merged.get("queue_depth", 0),
-            "dsp_backend": merged.get("dsp_backend", "unknown"),
-            "server": server,
-            "scheduler": scheduler,
-            "fleet": self.stats.snapshot(),
-            "shards": self.shard_snapshots(),
-        }
+        metrics["scheduler.max_queue_depth"] = {"type": "gauge", "value": float(high)}
+        backends = {state.probes[-1]["dsp_backend"] for state in live if state.probes[-1]}
+        dsp_backend = "mixed" if len(backends) > 1 else next(iter(backends), "unknown")
+        reply = stats_view(metrics, dsp_backend)
+        reply["fleet"] = self.stats.snapshot()
+        reply["shards"] = self.shard_snapshots()
+        return reply
 
-    async def _telemetry_reply(self) -> dict[str, Any]:
+    def _telemetry_reply(self) -> dict[str, Any]:
         """Per-shard exact snapshots and their fold, self-certifying."""
-        for state in self._shards.values():
-            if state.handle.alive and not state.stopped:
-                snapshot = await self._fetch(state, "telemetry")
-                if snapshot is not None:
-                    state.metrics_cache = snapshot.get("metrics", {})
         shards = self.metric_snapshots()
         telemetry = get_telemetry()
         frontend = telemetry.metrics.snapshot() if telemetry.enabled else {}
@@ -563,7 +547,7 @@ class FleetServer:
             fallback = HashRing(routable)
             state = self._shards[fallback.lookup(routing_key)]
         limit = state.spec.serve.max_sessions
-        if state.stats_cache.get("active_sessions", 0) >= limit:
+        if state.current("server.active_sessions") >= limit:
             self.stats.shed_sessions += 1
             raise SessionLimitError(
                 f"shard {state.name} is at its limit of {limit} sessions"
@@ -695,14 +679,11 @@ class _ClientRelay:
             if kind == protocol.PING:
                 return await self._send_client({"type": protocol.PONG})
             if kind == protocol.SERVER_STATS:
-                for state in fleet._shards.values():
-                    if state.handle.alive and not state.stopped:
-                        stats = await fleet._fetch(state, "stats")
-                        if stats is not None:
-                            state.stats_cache = stats
+                await fleet._probe_live()
                 return await self._send_client(fleet._stats_reply())
             if kind == protocol.TELEMETRY_SNAPSHOT:
-                return await self._send_client(await fleet._telemetry_reply())
+                await fleet._probe_live()
+                return await self._send_client(fleet._telemetry_reply())
             if kind == protocol.OPEN_SESSION:
                 return await self._open_session(frame, line)
             if kind in (protocol.PUSH_BLOCKS, protocol.CLOSE_SESSION):

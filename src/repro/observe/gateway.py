@@ -82,22 +82,14 @@ class ObserveConfig:
 def _fleet_metric_snapshots(fleet: Any) -> dict[str, dict[str, Any]]:
     """Fleet-level snapshots: merged shard metrics + labeled families.
 
-    The merged section folds the supervisor's cached per-shard
-    snapshots (every incarnation of each shard) with the exact merge,
-    so the fleet's ``server.*``/``scheduler.*`` counters and histograms
-    are the sum over shards, telemetry on or off.  Gauges are left
-    out of it: a merged gauge would read whichever shard merged last,
-    and the ``repro_fleet_shard_*`` families carry each shard's own
-    value, one labeled sample per shard.
+    The merged section is the fleet's ``metrics_snapshot()``, the exact
+    fold of every shard incarnation, so the fleet's ``server.*`` and
+    ``scheduler.*`` counters and histograms are the sum over shards,
+    telemetry on or off.  It holds no gauges; the
+    ``repro_fleet_shard_*`` families carry each shard's own levels,
+    one labeled sample per shard.
     """
-    from repro.fleet.frontend import merge_snapshots
-
-    per_shard = fleet.metric_snapshots()
-    snaps: dict[str, dict[str, Any]] = {
-        name: snap
-        for name, snap in merge_snapshots(list(per_shard.values())).items()
-        if snap["type"] != "gauge"
-    }
+    snaps = fleet.metrics_snapshot()
     for name, value in fleet.stats.snapshot().items():
         snaps[f"fleet.{name}"] = {"type": "counter", "value": float(value)}
     shards = fleet.shard_snapshots()
@@ -115,7 +107,7 @@ def _fleet_metric_snapshots(fleet: Any) -> dict[str, dict[str, Any]]:
                 for shard in shards
             ],
         }
-    # The same merged record the total sums, so the two always agree.
+    # The same per-shard totals the fold sums, so the two always agree.
     snaps["fleet.shard_columns_served"] = {
         "type": "counter",
         "samples": [
@@ -123,7 +115,7 @@ def _fleet_metric_snapshots(fleet: Any) -> dict[str, dict[str, Any]]:
                 "labels": {"shard": name},
                 "value": snap.get("server.columns_served", {}).get("value", 0.0),
             }
-            for name, snap in per_shard.items()
+            for name, snap in fleet.metric_snapshots().items()
         ],
     }
     return snaps
@@ -215,27 +207,15 @@ class ObserveGateway:
         while True:
             await asyncio.sleep(self.config.interval_s)
             self.hub.metrics_delta()
-            if self.server is not None and self.hub.has_subscribers:
+            service = self.server if self.server is not None else self.fleet
+            if service is not None and self.hub.has_subscribers:
+                reply = service._stats_reply()
+                keys = ("active_sessions", "queue_depth", "server", "scheduler", "fleet")
                 self.hub.publish(
                     "server.stats",
-                    active_sessions=len(self.server.sessions),
-                    queue_depth=self.server.scheduler.queue_depth,
-                    draining=self.server.draining,
-                    server=self.server.stats.snapshot(),
-                    scheduler=self.server.scheduler.stats.snapshot(),
+                    draining=service.draining,
                     hub=self.hub.stats.snapshot(),
-                )
-            if self.fleet is not None and self.hub.has_subscribers:
-                reply = self.fleet._stats_reply()
-                self.hub.publish(
-                    "server.stats",
-                    active_sessions=reply["active_sessions"],
-                    queue_depth=reply["queue_depth"],
-                    draining=self.fleet.draining,
-                    server=reply["server"],
-                    scheduler=reply["scheduler"],
-                    fleet=reply["fleet"],
-                    hub=self.hub.stats.snapshot(),
+                    **{key: reply[key] for key in keys if key in reply},
                 )
 
     # ------------------------------------------------------------------

@@ -47,7 +47,6 @@ from repro.core.tracking import (
     TrackingConfig,
     estimate_windows_batch,
 )
-from repro.dsp.backend import active_backend_name
 from repro.dsp.spectrum import beamform_batch
 from repro.dsp.steering import steering_matrix
 from repro.errors import ServeOverloadError
@@ -126,20 +125,6 @@ class SchedulerStats:
     @property
     def mean_batch_windows(self) -> float:
         return self.windows / self.ticks if self.ticks else 0.0
-
-    def snapshot(self) -> dict:
-        return {
-            "ticks": self.ticks,
-            "windows": self.windows,
-            "shed_windows": self.shed_windows,
-            "max_queue_depth": self.max_queue_depth,
-            "watchdog_activations": self.watchdog_activations,
-            "serial_windows": self.serial_windows,
-            "mean_batch_windows": self.mean_batch_windows,
-            "batch_p50": self.occupancy.percentile(0.5),
-            "batch_p99": self.occupancy.percentile(0.99),
-            "dsp_backend": active_backend_name(),
-        }
 
 
 class MicroBatchScheduler:

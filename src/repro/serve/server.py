@@ -16,6 +16,7 @@ Each serve event is counted once, in the always-on :class:`ServerStats`
 and the scheduler's stats; :meth:`SensingServer.metrics_snapshot`
 exports them for ``/metrics``, the ``telemetry_snapshot`` reply (the
 fleet's merge feed) and, at shutdown, an enabled telemetry session.
+The ``server_stats`` reply is :func:`stats_view` of that export.
 With telemetry on, every request also runs inside a ``serve.<type>``
 span, and disconnects and rejected requests become events.
 """
@@ -150,24 +151,57 @@ class ServerStats:
         )
     )
 
-    def snapshot(self) -> dict[str, Any]:
-        return {
-            "requests": self.requests,
-            "errors": self.errors,
-            "sessions_opened": self.sessions_opened,
-            "sessions_closed": self.sessions_closed,
-            "sessions_failed": self.sessions_failed,
-            "sessions_resumed": self.sessions_resumed,
-            "columns_served": self.columns_served,
-            "disconnects": self.disconnects,
-            "read_timeouts": self.read_timeouts,
-            "write_timeouts": self.write_timeouts,
-            "malformed_frames": self.malformed_frames,
-            "duplicate_pushes": self.duplicate_pushes,
-            "sequence_errors": self.sequence_errors,
-            "request_p50_ms": self.request_latency_ms.percentile(0.5),
-            "request_p99_ms": self.request_latency_ms.percentile(0.99),
-        }
+    def snapshot(self) -> dict[str, int]:
+        """Every count, in field order (the histogram is exported whole)."""
+        return {name: value for name, value in vars(self).items() if isinstance(value, int)}
+
+
+def stats_view(metrics: dict[str, dict[str, Any]], dsp_backend: str) -> dict[str, Any]:
+    """The ``server_stats`` reply, built from a merge-form snapshot.
+
+    ``metrics`` is :meth:`SensingServer.metrics_snapshot` or a fleet's
+    fold of its shards' snapshots.  Counts and levels read back as
+    ints; the percentiles and the mean batch occupancy come from the
+    histograms and counters, so they are exact for a fold too.
+    """
+
+    def count(name: str) -> int:
+        return int(metrics.get(name, {}).get("value", 0))
+
+    def percentiles(name: str) -> tuple[float, float]:
+        snap = metrics.get(name)
+        histogram = Histogram.from_snapshot(name, snap) if snap else Histogram(name)
+        return histogram.percentile(0.5), histogram.percentile(0.99)
+
+    server = {
+        name.removeprefix("server."): int(snap["value"])
+        for name, snap in metrics.items()
+        if name.startswith("server.") and snap["type"] == "counter"
+    }
+    server["request_p50_ms"], server["request_p99_ms"] = percentiles(
+        "server.request_latency_ms"
+    )
+    ticks, windows = count("scheduler.ticks"), count("scheduler.windows")
+    batch_p50, batch_p99 = percentiles("scheduler.batch_windows")
+    return {
+        "type": protocol.SERVER_STATS_REPLY,
+        "active_sessions": count("server.active_sessions"),
+        "queue_depth": count("scheduler.queue_depth"),
+        "dsp_backend": dsp_backend,
+        "server": server,
+        "scheduler": {
+            "ticks": ticks,
+            "windows": windows,
+            "shed_windows": count("scheduler.shed_windows"),
+            "max_queue_depth": count("scheduler.max_queue_depth"),
+            "watchdog_activations": count("scheduler.watchdog_activations"),
+            "serial_windows": count("scheduler.serial_windows"),
+            "mean_batch_windows": windows / ticks if ticks else 0.0,
+            "batch_p50": batch_p50,
+            "batch_p99": batch_p99,
+            "dsp_backend": dsp_backend,
+        },
+    }
 
 
 class SensingServer:
@@ -244,10 +278,7 @@ class SensingServer:
         """
         scheduler = self.scheduler.stats
         counters = {
-            f"server.{name}": value
-            for name, value in self.stats.snapshot().items()
-            # The percentiles ride the full histogram below.
-            if name not in ("request_p50_ms", "request_p99_ms")
+            f"server.{name}": value for name, value in self.stats.snapshot().items()
         }
         for name in ("ticks", "windows", "shed_windows", "serial_windows",
                      "watchdog_activations"):
@@ -456,7 +487,7 @@ class SensingServer:
             if isinstance(exc, (ServeOverloadError, ProtocolError)) and telemetry.enabled:
                 telemetry.events.emit(
                     "serve.request_rejected",
-                    kind=kind,
+                    request=kind,
                     session=session_id,
                     error=type(exc).__name__,
                     message=str(exc),
@@ -478,14 +509,7 @@ class SensingServer:
     # ------------------------------------------------------------------
 
     def _stats_reply(self) -> dict[str, Any]:
-        return {
-            "type": protocol.SERVER_STATS_REPLY,
-            "active_sessions": len(self.sessions),
-            "queue_depth": self.scheduler.queue_depth,
-            "dsp_backend": active_backend_name(),
-            "server": self.stats.snapshot(),
-            "scheduler": self.scheduler.stats.snapshot(),
-        }
+        return stats_view(self.metrics_snapshot(), active_backend_name())
 
     def _telemetry_snapshot_reply(self) -> dict[str, Any]:
         """This process's exact metrics snapshot (the fleet merge feed).

@@ -96,6 +96,13 @@ class Histogram:
         self.min = math.inf
         self.max = -math.inf
 
+    @classmethod
+    def from_snapshot(cls, name: str, snap: dict[str, Any]) -> Histogram:
+        """The histogram a :meth:`snapshot` describes, rebuilt by :meth:`merge`."""
+        histogram = cls(name, tuple(snap["buckets"]))
+        histogram.merge(snap)
+        return histogram
+
     def observe(self, value: float) -> None:
         value = float(value)
         index = len(self.buckets)

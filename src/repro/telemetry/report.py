@@ -56,12 +56,6 @@ def _load_metrics(directory: Path) -> tuple[dict[str, dict[str, Any]], bool]:
     return metrics, False
 
 
-def _histogram_from_snapshot(name: str, snap: dict[str, Any]) -> Histogram:
-    histogram = Histogram(name, tuple(snap["buckets"]))
-    histogram.merge(snap)
-    return histogram
-
-
 def _span_section(directory: Path, lines: list[str]) -> int:
     path = directory / SPANS_FILE
     if not path.exists():
@@ -100,7 +94,7 @@ def _stage_section(metrics: dict[str, dict[str, Any]], lines: list[str]) -> None
     )
     for stage in sorted(stage_names):
         snap = metrics[f"{prefix}{stage}{suffix}"]
-        histogram = _histogram_from_snapshot(stage, snap)
+        histogram = Histogram.from_snapshot(stage, snap)
         errors = metrics.get(f"stage.{stage}.errors", {}).get("value", 0)
         lines.append(
             f"  {stage:<12} {histogram.count:>7} "

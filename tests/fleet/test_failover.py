@@ -157,7 +157,11 @@ class TestCrash:
         asyncio.run(run())
 
     def test_served_totals_count_every_incarnation(self):
-        """Telemetry off: ``/metrics`` totals exist and survive a SIGKILL."""
+        """Telemetry off: served totals exist and survive a SIGKILL.
+
+        ``/metrics`` and the ``server_stats`` reply read one fold, so
+        neither falls when a shard restarts.
+        """
 
         def scrape(fleet):
             samples = parse_exposition(
@@ -170,6 +174,13 @@ class TestCrash:
             }
             return samples, shards
 
+        async def served(fleet):
+            client = AsyncServeClient("127.0.0.1", fleet.port)
+            await client.connect()
+            stats = await client.server_stats()
+            await client.aclose()
+            return stats["server"]["columns_served"]
+
         async def run():
             async with running_fleet(workers=2) as fleet:
                 report = await run_load(
@@ -181,16 +192,19 @@ class TestCrash:
                     == report.columns
                 )
                 before = scrape(fleet)
+                served_before = await served(fleet)
                 fleet._shards["w0"].handle.kill()
                 # Restarted, and the new incarnation probed at least once.
                 await _wait_for(
                     lambda: fleet._shards["w0"].generation == 1
-                    and fleet._shards["w0"].metrics_cache,
+                    and fleet._shards["w0"].probes[-1],
                     timeout_s=30.0,
                 )
-                return report, before, scrape(fleet)
+                served_after = await served(fleet)
+                return report, before, scrape(fleet), (served_before, served_after)
 
-        report, before, after = asyncio.run(run())
+        report, before, after, served_totals = asyncio.run(run())
+        assert served_totals == (report.columns, report.columns)
         w0 = 'repro_fleet_shard_columns_served{shard="w0"}'
         for samples, shards in (before, after):
             assert samples["repro_server_columns_served"] == report.columns > 0

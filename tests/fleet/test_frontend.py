@@ -1,11 +1,11 @@
-"""The routing frontend: protocol fidelity, placement, admission.
+"""The routing frontend: protocol fidelity, placement, admission, stats.
 
 Each test boots a real fleet — forked shard workers behind the asyncio
 frontend — on ephemeral ports inside ``asyncio.run`` (the suite
 carries no async plugin), and speaks the ordinary serve client/load
-machinery at it.  The load-bearing assertion throughout is the
-equivalence gate: columns served *through* the frontend are
-``np.array_equal`` to offline ``compute_spectrogram``.
+machinery at it.  Columns served through the frontend are held to
+offline ``compute_spectrogram`` by ``run_load``'s verifier here and by
+the differential harness (``tests/test_differential.py``).
 """
 
 import asyncio
@@ -17,29 +17,36 @@ import numpy as np
 import pytest
 
 from repro.capture.store import CaptureStore
-from repro.core.tracking import compute_spectrogram
 from repro.errors import ProtocolError, SessionLimitError
-from repro.fleet import FleetConfig, FleetServer, HashRing
-from repro.fleet.frontend import _aggregate, merge_snapshots
-from repro.serve import AsyncServeClient, SensingServer, ServeConfig, run_load
+from repro.fleet import FleetConfig, FleetServer, HashRing, frontend
+from repro.fleet.frontend import merge_snapshots
+from repro.observe import ObserveGateway, TelemetryHub
+from repro.observe.prometheus import parse_exposition
+from repro.serve import AsyncServeClient, ServeConfig, run_load
 from repro.serve import protocol
+from repro.telemetry import configure, deactivate
 from repro.telemetry.metrics import MetricsRegistry
 
 from tests.helpers import FAST, synthetic_trace
 
 
 @asynccontextmanager
-async def running_fleet(workers=2, serve=None, **kwargs):
-    kwargs.setdefault("supervisor_interval_s", 0.1)
-    config = FleetConfig(
-        workers=workers, serve=serve or ServeConfig(), **kwargs
-    )
-    fleet = FleetServer(config)
-    await fleet.start()
+async def running_fleet(workers=2, serve=None, supervisor_interval_s=0.1, **kwargs):
+    """A started fleet whose supervisor ticks every ``supervisor_interval_s``."""
+    saved = frontend.SUPERVISOR_INTERVAL_S
+    frontend.SUPERVISOR_INTERVAL_S = supervisor_interval_s
     try:
-        yield fleet
+        config = FleetConfig(
+            workers=workers, serve=serve or ServeConfig(), **kwargs
+        )
+        fleet = FleetServer(config)
+        await fleet.start()
+        try:
+            yield fleet
+        finally:
+            await fleet.shutdown()
     finally:
-        await fleet.shutdown()
+        frontend.SUPERVISOR_INTERVAL_S = saved
 
 
 async def _client(fleet):
@@ -74,37 +81,6 @@ class TestRouting:
                 await client.aclose()
 
         asyncio.run(run())
-
-    def test_streamed_columns_match_offline_bit_for_bit(
-        self, rng, fast_tracking_config
-    ):
-        trace = synthetic_trace(rng, num_samples=480)
-        offline = compute_spectrogram(trace, fast_tracking_config)
-
-        async def run():
-            async with running_fleet(workers=2) as fleet:
-                client = await _client(fleet)
-                await client.open_session(config=FAST)
-                # Shards mint fleet session ids, <shard>:s<n>, and the
-                # minted routing key is echoed for resumes.
-                shard, _, local_sid = str(client.session_id).partition(":")
-                assert shard in ("w0", "w1")
-                assert local_sid.startswith("s")
-                assert client.routing_key is not None
-                columns = []
-                for offset in range(0, len(trace), 96):
-                    pushed = await client.push(trace[offset : offset + 96])
-                    columns.extend(pushed.columns)
-                closed = await client.close_session()
-                await client.aclose()
-                return columns, closed
-
-        columns, closed = asyncio.run(run())
-        assert len(columns) == offline.power.shape[0]
-        assert np.array_equal(
-            np.stack([c.power for c in columns]), offline.power
-        )
-        assert closed["columns_out"] == len(columns)
 
     def test_routing_key_picks_the_ring_shard(self):
         async def run():
@@ -326,23 +302,123 @@ class TestTelemetryMerge:
         assert merged["g"]["value"] == 1.5
         assert merged["h"]["count"] == 1
 
+    def test_fleet_telemetry_dir_gets_totals_and_no_shard_gauge(self, tmp_path):
+        """Shutdown merges the gauge-free fold into the frontend registry."""
 
-class TestAggregate:
-    def test_sums_ints_maxes_floats_mixes_strings(self):
-        merged = _aggregate(
-            [
-                {"requests": 3, "p99": 1.5, "dsp_backend": "numpy-float64"},
-                {"requests": 4, "p99": 2.5, "dsp_backend": "numpy-float64"},
-                {"requests": 1, "p99": 0.5, "dsp_backend": "numpy-float32"},
-            ]
+        async def run():
+            async with running_fleet(
+                workers=2, telemetry_dir=str(tmp_path)
+            ) as fleet:
+                await run_load(
+                    "127.0.0.1",
+                    fleet.port,
+                    sessions=4,
+                    pushes=4,
+                    block_size=200,
+                    config=FAST,
+                )
+
+        telemetry = configure(out_dir=tmp_path / "frontend")
+        try:
+            asyncio.run(run())
+            merged = telemetry.metrics.snapshot()
+        finally:
+            deactivate()
+        for gauge in (
+            "server.active_sessions",
+            "scheduler.queue_depth",
+            "scheduler.max_queue_depth",
+        ):
+            assert gauge not in merged
+        shard_columns = [
+            json.loads((tmp_path / f"shard-w{i}" / "metrics.json").read_text())[
+                "server.columns_served"
+            ]["value"]
+            for i in range(2)
+        ]
+        assert all(columns > 0 for columns in shard_columns)
+        assert merged["server.columns_served"]["value"] == sum(shard_columns)
+
+
+class TestStatsView:
+    def test_fleet_stats_reply_is_the_exact_fold(self):
+        """Totals add, occupancy is windows / ticks, high-water is a max."""
+
+        async def run():
+            async with running_fleet(workers=2) as fleet:
+                report = await run_load(
+                    "127.0.0.1",
+                    fleet.port,
+                    sessions=12,
+                    pushes=6,
+                    block_size=200,
+                    config=FAST,
+                )
+                client = await _client(fleet)
+                stats = await client.server_stats()
+                snapshot = await client.telemetry_snapshot()
+                await client.aclose()
+                shards = []
+                for name in ("w0", "w1"):
+                    # Each shard's own view, straight from the worker.
+                    probe = AsyncServeClient(
+                        "127.0.0.1", fleet._shards[name].handle.port
+                    )
+                    await probe.connect()
+                    shards.append(await probe.server_stats())
+                    await probe.aclose()
+                metrics = parse_exposition(
+                    ObserveGateway(TelemetryHub(), fleet=fleet).render_metrics()
+                )
+                return report, stats, snapshot, shards, metrics
+
+        report, stats, snapshot, shards, metrics = asyncio.run(run())
+        scheduler = stats["scheduler"]
+        assert scheduler["ticks"] == sum(s["scheduler"]["ticks"] for s in shards)
+        assert scheduler["windows"] == sum(s["scheduler"]["windows"] for s in shards)
+        assert scheduler["mean_batch_windows"] == scheduler["windows"] / scheduler["ticks"]
+        assert scheduler["max_queue_depth"] == max(
+            s["scheduler"]["max_queue_depth"] for s in shards
         )
-        assert merged["requests"] == 8
-        assert merged["p99"] == 2.5
-        assert merged["dsp_backend"] == "mixed"
+        columns = stats["server"]["columns_served"]
+        assert columns == report.columns > 0
+        assert columns == snapshot["metrics"]["server.columns_served"]["value"]
+        assert columns == metrics["repro_server_columns_served"]
+        assert "repro_server_active_sessions" not in metrics
+        assert stats["active_sessions"] == 0
+        assert stats["dsp_backend"] == scheduler["dsp_backend"] == "numpy-float64"
 
-    def test_bools_are_not_summed(self):
-        merged = _aggregate([{"flag": True}, {"flag": True}])
-        assert merged["flag"] is True
+    def test_one_supervisor_tick_probes_each_live_shard_once(self, monkeypatch):
+        """One ``telemetry_snapshot`` per live shard per tick, nothing else."""
+        sent = []
+        request = AsyncServeClient.request
+
+        async def recording(self, frame):
+            sent.append(frame["type"])
+            return await request(self, frame)
+
+        monkeypatch.setattr(AsyncServeClient, "request", recording)
+
+        class TickHub:
+            """The supervisor publishes ``fleet.shards`` once per tick."""
+
+            def publish(self, kind, **fields):
+                if kind == "fleet.shards":
+                    sent.append("tick")
+
+        async def run():
+            async with running_fleet(workers=2, supervisor_interval_s=0.05) as fleet:
+                fleet.hub = TickHub()
+                deadline = asyncio.get_running_loop().time() + 20.0
+                while sent.count("tick") < 4:
+                    assert asyncio.get_running_loop().time() < deadline
+                    await asyncio.sleep(0.05)
+                return list(sent)
+
+        events = asyncio.run(run())
+        ticks = [i for i, kind in enumerate(events) if kind == "tick"]
+        for start, end in zip(ticks, ticks[1:]):
+            assert events[start + 1 : end] == [protocol.TELEMETRY_SNAPSHOT] * 2
 
 
 def test_worker_stats_visible_through_single_worker_fleet(rng):
@@ -362,40 +438,3 @@ def test_worker_stats_visible_through_single_worker_fleet(rng):
     stats = asyncio.run(run())
     assert stats["server"]["columns_served"] > 0
     assert stats["shards"][0]["shard"] == "w0"
-
-
-def test_direct_server_and_fleet_columns_identical(rng, fast_tracking_config):
-    """The frontend hop adds nothing: same bytes as a direct session."""
-    trace = synthetic_trace(rng, num_samples=320)
-
-    async def direct():
-        server = SensingServer(ServeConfig())
-        await server.start()
-        try:
-            client = AsyncServeClient("127.0.0.1", server.port)
-            await client.connect()
-            session_id = await client.open_session(config=FAST)
-            reply = await client.push(trace)
-            await client.aclose()
-            return session_id, reply.columns
-        finally:
-            await server.shutdown()
-
-    async def fleeted():
-        async with running_fleet(workers=2) as fleet:
-            client = await _client(fleet)
-            session_id = await client.open_session(config=FAST)
-            reply = await client.push(trace)
-            await client.aclose()
-            return session_id, reply.columns
-
-    direct_sid, direct_cols = asyncio.run(direct())
-    fleet_sid, fleet_cols = asyncio.run(fleeted())
-    # A bare server mints s<n>; a fleet shard prefixes its name.
-    assert direct_sid == "s1"
-    assert fleet_sid in ("w0:s1", "w1:s1")
-    assert len(direct_cols) == len(fleet_cols)
-    for a, b in zip(direct_cols, fleet_cols):
-        assert np.array_equal(a.power, b.power)
-        assert a.time_s == b.time_s
-        assert a.estimator == b.estimator

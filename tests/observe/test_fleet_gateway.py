@@ -10,6 +10,7 @@ snapshots on ``/api/shards``, drain-aware ``/readyz``, and the
 import asyncio
 from contextlib import asynccontextmanager
 
+from repro.fleet.frontend import merge_snapshots
 from repro.observe import ObserveConfig, ObserveGateway, TelemetryHub
 from repro.observe.prometheus import parse_exposition, render_prometheus
 from repro.telemetry.metrics import MetricsRegistry
@@ -68,13 +69,17 @@ class StubFleet:
         return list(self._shards)
 
     def metric_snapshots(self):
+        # A fleet's per-shard totals hold counters and histograms only.
         a = MetricsRegistry()
         a.counter("server.columns_served").inc(40)
-        a.gauge("server.active_sessions").set(2)
+        a.histogram("server.request_latency_ms").observe(2.0)
         b = MetricsRegistry()
         b.counter("server.columns_served").inc(7)
-        b.gauge("server.active_sessions").set(1)
+        b.histogram("server.request_latency_ms").observe(30.0)
         return {"w0": a.snapshot(), "w1": b.snapshot()}
+
+    def metrics_snapshot(self):
+        return merge_snapshots(list(self.metric_snapshots().values()))
 
     def _stats_reply(self):
         return {
@@ -170,9 +175,10 @@ class TestFleetRoutes:
         assert samples['repro_fleet_shard_columns_served{shard="w0"}'] == 40.0
         assert samples['repro_fleet_shard_columns_served{shard="w1"}'] == 7.0
         # The merged section is the exact fold of the shard snapshots:
-        # 40 + 7.  A merged gauge would show one shard's value, so
-        # gauges stay in the labeled per-shard families only.
+        # 40 + 7, and both shards' latencies in one histogram.  Levels
+        # stay in the labeled per-shard families only.
         assert samples["repro_server_columns_served"] == 47.0
+        assert samples["repro_server_request_latency_ms_count"] == 2.0
         assert "repro_server_active_sessions" not in samples
         assert samples["repro_fleet_sessions_routed"] == 5.0
 

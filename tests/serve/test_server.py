@@ -69,6 +69,76 @@ class TestLifecycle:
 
         asyncio.run(run())
 
+    def test_stats_reply_is_a_view_of_the_live_counters(self, rng):
+        """Every key of ``server_stats``, read field by field off the stats."""
+
+        def by_field(server):
+            stats, scheduler = server.stats, server.scheduler.stats
+            counters = (
+                "requests", "errors", "sessions_opened", "sessions_closed",
+                "sessions_failed", "sessions_resumed", "columns_served",
+                "disconnects", "read_timeouts", "write_timeouts",
+                "malformed_frames", "duplicate_pushes", "sequence_errors",
+            )
+            return {
+                "type": protocol.SERVER_STATS_REPLY,
+                "active_sessions": len(server.sessions),
+                "queue_depth": server.scheduler.queue_depth,
+                "dsp_backend": "numpy-float64",
+                "server": {
+                    **{name: getattr(stats, name) for name in counters},
+                    "request_p50_ms": stats.request_latency_ms.percentile(0.5),
+                    "request_p99_ms": stats.request_latency_ms.percentile(0.99),
+                },
+                "scheduler": {
+                    "ticks": scheduler.ticks,
+                    "windows": scheduler.windows,
+                    "shed_windows": scheduler.shed_windows,
+                    "max_queue_depth": scheduler.max_queue_depth,
+                    "watchdog_activations": scheduler.watchdog_activations,
+                    "serial_windows": scheduler.serial_windows,
+                    "mean_batch_windows": scheduler.mean_batch_windows,
+                    "batch_p50": scheduler.occupancy.percentile(0.5),
+                    "batch_p99": scheduler.occupancy.percentile(0.99),
+                    "dsp_backend": "numpy-float64",
+                },
+            }
+
+        def types(reply):
+            return {
+                key: {k: type(v) for k, v in value.items()}
+                if isinstance(value, dict)
+                else type(value)
+                for key, value in reply.items()
+            }
+
+        async def run():
+            async with running_server() as server:
+                client = await _client(server)
+                await client.open_session(config=FAST)
+                for _ in range(3):
+                    await client.push(_noise(rng, 200))
+                await client.ping()
+                wire = await client.server_stats()
+                # The stats request itself is counted before its reply.
+                expected_wire = by_field(server)
+                await client.aclose()
+                return wire, expected_wire, server._stats_reply(), by_field(server)
+
+        wire, expected_wire, reply, expected = asyncio.run(run())
+        assert reply == expected
+        assert types(reply) == types(expected)
+        assert expected["server"]["columns_served"] > 0
+        assert expected["scheduler"]["ticks"] > 0
+        assert isinstance(expected["server"]["requests"], int)
+        # Over the wire too, but the stats request's own latency lands
+        # after its reply was built.
+        for view in (wire, expected_wire):
+            view["server"].pop("request_p50_ms")
+            view["server"].pop("request_p99_ms")
+        assert wire == expected_wire
+        assert types(wire) == types(expected_wire)
+
     def test_open_push_close(self, rng):
         async def run():
             async with running_server() as server:
@@ -144,6 +214,28 @@ class TestProtocolErrors:
                 await client.aclose()
 
         asyncio.run(run())
+
+    def test_rejected_request_is_an_event_with_telemetry_on(self, tmp_path):
+        """Telemetry on, a rejected request still answers typed."""
+
+        async def run():
+            async with running_server() as server:
+                client = await _client(server)
+                with pytest.raises(ProtocolError, match="unknown frame type"):
+                    await client.request({"type": "teleport"})
+                pong = await client.ping()
+                await client.aclose()
+                return pong
+
+        telemetry = set_telemetry(Telemetry(enabled=True, out_dir=tmp_path))
+        try:
+            pong = asyncio.run(run())
+        finally:
+            reset_telemetry()
+        assert pong["type"] == protocol.PONG
+        [event] = telemetry.events.of_kind("serve.request_rejected")
+        assert event["request"] == "teleport"
+        assert event["error"] == "ProtocolError"
 
     def test_malformed_json_answers_and_connection_survives(self):
         """A corrupt line draws a typed error but does not hang up:

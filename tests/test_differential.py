@@ -35,7 +35,7 @@ from repro.capture import CaptureStore, recorded_columns, replay_serve_async, ve
 from repro.core.tracking import TrackingConfig, compute_beamformed_frame, compute_spectrogram
 from repro.dsp.backend import backend_names, use_backend
 from repro.errors import DeviceFailedError, SequenceError
-from repro.fleet import FleetConfig, FleetServer
+from repro.fleet import FleetConfig, FleetServer, frontend
 from repro.runtime import BlockSource, StreamingPipeline, StreamingTracker
 from repro.runtime.tracker import SpectrogramColumn
 from repro.serve import AsyncServeClient, SensingServer, ServeConfig
@@ -326,7 +326,7 @@ class FleetPath(ServePath):
 
     async def _serve(self):
         self.drained, self.first_id = False, None
-        config = FleetConfig(workers=2, supervisor_interval_s=0.05, dsp_backend=self.backend)
+        config = FleetConfig(workers=2, dsp_backend=self.backend)
         self.server = FleetServer(config)
         self.port = await self.server.start()
 
@@ -340,8 +340,9 @@ class FleetPath(ServePath):
         assert re.fullmatch(r"w[01]:s[1-9][0-9]*", stream.session_id)
         self.first_id = self.first_id or stream.session_id
         assert self.first_id in ("w0:s1", "w1:s1")
+        # A fresh session gets back the key the fleet minted; a resume presents it again.
         self.keys[stream.slot] = self.clients[stream.slot].routing_key
-        assert self.keys[stream.slot] is not None
+        assert re.fullmatch(r"rk-[1-9][0-9]*", self.keys[stream.slot])
 
     async def _migrate(self, shard: str):
         for live in self.live():
@@ -480,7 +481,7 @@ _session = st.tuples(st.booleans(), st.floats(0.0, 1e4))
 # TestSchedulerHooks::test_ingest_poll_resolve_equals_push (served paths run
 # ingest/poll/resolve); capture/test_replay.py: test_clean_run_replays_bit_identically and
 # test_recorded_session_replays_offline_and_live (blocks of 96);
-# fleet/test_frontend.py: test_streamed_columns_match_offline_bit_for_bit.
+# fleet/test_frontend.py (retired): TestRouting::test_streamed_columns_match_offline_bit_for_bit.
 @pinned([push(48, 96)] * 5 + [push(48)] * 3 + [push(16)])
 # runtime/test_tracker.py (retired):
 # TestGoldenEquivalence::test_equivalence_is_block_size_independent,
@@ -519,8 +520,8 @@ _session = st.tuples(st.booleans(), st.floats(0.0, 1e4))
 @pinned([push(200)] * 3 + [("crash", 0)] + [push(200)] * 3)
 # ... and test_resilient_session_migrates_across_drain_bit_exactly.
 @pinned([push(200)] * 3 + [("drain", 0)] + [push(200)] * 3)
-# fleet/test_frontend.py: test_direct_server_and_fleet_columns_identical, one push of 320 (ids
-# s1 on a bare server, w0:s1 or w1:s1 through the fleet).
+# fleet/test_frontend.py (retired): test_direct_server_and_fleet_columns_identical, one push of
+# 320 (ids s1 on a bare server, w0:s1 or w1:s1 through the fleet).
 @pinned([push(320)])
 # Three NaN bursts walk a served session to FAILED; slot 1 serves on.
 @pinned([push(64, 64)] + [push(8, 0, True)] * 3 + [push(64, 64)])
@@ -537,7 +538,9 @@ def run_operations(path: str, backend: str, tally: Counter, seed, sessions, ops)
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("path", list(PATHS))
-def test_every_path_serves_offline_columns(path, backend, record_property):
+def test_every_path_serves_offline_columns(path, backend, record_property, monkeypatch):
+    # A faster fleet supervisor restarts a killed shard sooner.
+    monkeypatch.setattr(frontend, "SUPERVISOR_INTERVAL_S", 0.05)
     tally = Counter()
     run_operations(path, backend, tally)
     record_property("columns_checked", tally["columns"])
