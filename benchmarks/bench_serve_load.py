@@ -16,7 +16,6 @@ import asyncio
 import json
 
 from common import OUTPUT_DIR, SEED, emit, format_table, trial_count, write_bench_json
-from repro.chaos import ChaosScheduleConfig
 from repro.observe import ObserveConfig, ObserveGateway, TelemetryHub
 from repro.observe.prometheus import parse_exposition
 from repro.observe.wsclient import collect_live
@@ -149,7 +148,7 @@ def _run_chaos_case(pushes: int):
                 block_size=CHAOS_BLOCK_SIZE,
                 seed=SEED + 53,
                 chaos_seed=CHAOS_SEED,
-                chaos_config=ChaosScheduleConfig(rate_scale=1.5),
+                chaos_rate_scale=1.5,
                 config=CHAOS_SESSION_CONFIG,
             )
         finally:

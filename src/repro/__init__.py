@@ -80,7 +80,6 @@ from repro.core.monitoring import (
     DeviceHealth,
     HealthStateMachine,
     NullingMonitor,
-    RecoveryPolicy,
     ResilientDevice,
     sanitize_series,
     screen_series,
@@ -98,7 +97,6 @@ from repro.faults import (
     FaultInjector,
     FaultKind,
     FaultSchedule,
-    FaultScheduleConfig,
 )
 from repro.core.tracking import (
     MotionSpectrogram,
@@ -162,7 +160,6 @@ __all__ = [
     "FaultInjector",
     "FaultKind",
     "FaultSchedule",
-    "FaultScheduleConfig",
     "GestureDecodeResult",
     "GestureDecoder",
     "GestureTrajectory",
@@ -181,7 +178,6 @@ __all__ = [
     "PhyConfig",
     "Point",
     "RandomWaypointTrajectory",
-    "RecoveryPolicy",
     "ReproError",
     "ResilientDevice",
     "Room",

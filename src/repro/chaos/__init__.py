@@ -23,7 +23,6 @@ from repro.chaos.schedule import (
     ChaosEvent,
     ChaosKind,
     ChaosSchedule,
-    ChaosScheduleConfig,
     scheduled_chaos_count,
 )
 
@@ -33,7 +32,6 @@ __all__ = [
     "ChaosKind",
     "ChaosLogEntry",
     "ChaosSchedule",
-    "ChaosScheduleConfig",
     "ClientChaos",
     "KIND_ORDER",
     "SERVER_KINDS",

@@ -157,11 +157,8 @@ class ClientChaos:
 class ServerChaos:
     """Self-inflicted runtime stalls for a chaos-mode server."""
 
-    def __init__(self, schedule: ChaosSchedule, wrap: bool = True):
+    def __init__(self, schedule: ChaosSchedule):
         self.schedule = schedule
-        #: Re-apply the schedule modulo its horizon, so a long-lived
-        #: server keeps injecting however many ticks/replies it serves.
-        self.wrap = wrap
         self.log: list[ChaosLogEntry] = []
         self._tick_op = 0
         self._reply_op = 0
@@ -170,7 +167,9 @@ class ServerChaos:
             self._by_op.setdefault((event.kind, event.op_index), []).append(event)
 
     def _events(self, kind: ChaosKind, op: int) -> list[ChaosEvent]:
-        if self.wrap and self.schedule.horizon_ops > 0:
+        # Re-apply the schedule modulo its horizon, so a long-lived
+        # server keeps injecting however many ticks/replies it serves.
+        if self.schedule.horizon_ops > 0:
             op = op % self.schedule.horizon_ops
         return self._by_op.get((kind, op), [])
 

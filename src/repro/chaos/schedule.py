@@ -11,12 +11,13 @@ truncated" does not.
 The seeding mirrors the faults layer exactly: each kind draws its
 events from a child generator seeded ``(seed, kind_index)``, so one
 kind's draw never perturbs another's, and two calls to
-:meth:`ChaosSchedule.generate` with the same config, horizon, and seed
-produce *identical* schedules — the property the chaos determinism
-test pins down.
+:meth:`ChaosSchedule.generate` with the same horizon, seed and rate
+scale produce *identical* schedules — the property the chaos
+determinism test pins down.
 
-Default rates model a hostile-but-plausible network: roughly one
-transport event per ~8 client operations at ``rate_scale=1``.
+The rates (:data:`CHAOS_RATES`) model a hostile-but-plausible network:
+roughly one transport event per ~8 client operations at
+``rate_scale=1``.
 """
 
 from __future__ import annotations
@@ -95,82 +96,58 @@ class ChaosEvent:
         return f"{self.kind.value} @ op {self.op_index} mag={self.magnitude:.3g}"
 
 
-@dataclass(frozen=True)
-class ChaosScheduleConfig:
-    """Arrival rates and magnitudes of the injected chaos mix.
+#: Arrival rate of each kind, in expected events per 100 operations
+#: at ``rate_scale=1``.
+CHAOS_RATES: dict[ChaosKind, float] = {
+    ChaosKind.TRUNCATE_FRAME: 2.0,
+    ChaosKind.CORRUPT_FRAME: 3.0,
+    ChaosKind.OVERSIZED_FRAME: 1.0,
+    ChaosKind.DISCONNECT: 3.0,
+    ChaosKind.SLOW_LORIS: 2.0,
+    ChaosKind.DUPLICATE_PUSH: 2.0,
+    ChaosKind.REORDER_PUSH: 2.0,
+    ChaosKind.STALL_TICK: 1.5,
+    ChaosKind.REPLY_LATENCY: 2.0,
+}
 
-    Rates are expected events per 100 operations; ``rate_scale``
-    multiplies all of them so a soak can sweep overall chaos pressure
-    with one knob (mirroring ``FaultScheduleConfig.rate_scale``).
+#: A truncated frame keeps a fraction of its bytes drawn uniformly from
+#: ``[min, max)`` by the event's child generator.
+TRUNCATE_FRACTION_RANGE: tuple[float, float] = (0.1, 0.9)
+#: Pause between dribbled slow-loris chunks (of
+#: :data:`repro.serve.resilient.SLOW_LORIS_CHUNK_BYTES` each).
+SLOW_LORIS_DELAY_S = 0.005
+#: How long a stalled scheduler tick sleeps.  It stays below the
+#: scheduler's watchdog timeout, so a stall delays a tick without
+#: forcing the serial degraded path.
+STALL_TICK_DELAY_S = 0.25
+#: Artificial delay before a reply write.
+REPLY_LATENCY_S = 0.05
 
-    Attributes:
-        truncate_min_fraction: a truncated frame keeps at least this
-            fraction of its bytes (the exact fraction is drawn
-            uniformly up to ``truncate_max_fraction`` from the event's
-            child generator).
-        slow_loris_delay_s: pause between dribbled chunks (of
-            :data:`repro.serve.resilient.SLOW_LORIS_CHUNK_BYTES` each).
-        stall_tick_delay_s: how long a stalled scheduler tick sleeps —
-            set it beyond the watchdog timeout to force the serial
-            degraded path.
-        reply_latency_s: artificial delay before a reply write.
+
+def _chaos_rates(rate_scale: float = 1.0) -> dict[ChaosKind, float]:
+    """Effective per-kind rates per 100 ops: :data:`CHAOS_RATES` scaled.
+
+    ``rate_scale`` multiplies every kind, so a soak can sweep overall
+    chaos pressure with one value.
+
+    Raises:
+        ValueError: ``rate_scale`` is negative.
     """
+    if rate_scale < 0:
+        raise ValueError("rate scale must be non-negative")
+    return {kind: rate * rate_scale for kind, rate in CHAOS_RATES.items()}
 
-    truncate_frame_rate: float = 2.0
-    corrupt_frame_rate: float = 3.0
-    oversized_frame_rate: float = 1.0
-    disconnect_rate: float = 3.0
-    slow_loris_rate: float = 2.0
-    duplicate_push_rate: float = 2.0
-    reorder_push_rate: float = 2.0
-    stall_tick_rate: float = 1.5
-    reply_latency_rate: float = 2.0
-    rate_scale: float = 1.0
 
-    truncate_min_fraction: float = 0.1
-    truncate_max_fraction: float = 0.9
-    slow_loris_delay_s: float = 0.005
-    stall_tick_delay_s: float = 0.25
-    reply_latency_s: float = 0.05
-
-    def __post_init__(self) -> None:
-        for name, rate in self.rates().items():
-            if rate < 0:
-                raise ValueError(f"{name} rate must be non-negative")
-        if self.rate_scale < 0:
-            raise ValueError("rate scale must be non-negative")
-        if not 0 < self.truncate_min_fraction <= self.truncate_max_fraction < 1:
-            raise ValueError("truncate fractions must satisfy 0 < min <= max < 1")
-        for name in ("slow_loris_delay_s", "stall_tick_delay_s", "reply_latency_s"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-
-    def rates(self) -> dict[ChaosKind, float]:
-        """Effective per-kind rates per 100 ops (after ``rate_scale``)."""
-        return {
-            ChaosKind.TRUNCATE_FRAME: self.truncate_frame_rate * self.rate_scale,
-            ChaosKind.CORRUPT_FRAME: self.corrupt_frame_rate * self.rate_scale,
-            ChaosKind.OVERSIZED_FRAME: self.oversized_frame_rate * self.rate_scale,
-            ChaosKind.DISCONNECT: self.disconnect_rate * self.rate_scale,
-            ChaosKind.SLOW_LORIS: self.slow_loris_rate * self.rate_scale,
-            ChaosKind.DUPLICATE_PUSH: self.duplicate_push_rate * self.rate_scale,
-            ChaosKind.REORDER_PUSH: self.reorder_push_rate * self.rate_scale,
-            ChaosKind.STALL_TICK: self.stall_tick_rate * self.rate_scale,
-            ChaosKind.REPLY_LATENCY: self.reply_latency_rate * self.rate_scale,
-        }
-
-    def _magnitude(self, kind: ChaosKind, rng: np.random.Generator) -> float:
-        if kind is ChaosKind.TRUNCATE_FRAME:
-            return float(
-                rng.uniform(self.truncate_min_fraction, self.truncate_max_fraction)
-            )
-        if kind is ChaosKind.SLOW_LORIS:
-            return self.slow_loris_delay_s
-        if kind is ChaosKind.STALL_TICK:
-            return self.stall_tick_delay_s
-        if kind is ChaosKind.REPLY_LATENCY:
-            return self.reply_latency_s
-        return 0.0
+def _magnitude(kind: ChaosKind, rng: np.random.Generator) -> float:
+    if kind is ChaosKind.TRUNCATE_FRAME:
+        return float(rng.uniform(*TRUNCATE_FRACTION_RANGE))
+    if kind is ChaosKind.SLOW_LORIS:
+        return SLOW_LORIS_DELAY_S
+    if kind is ChaosKind.STALL_TICK:
+        return STALL_TICK_DELAY_S
+    if kind is ChaosKind.REPLY_LATENCY:
+        return REPLY_LATENCY_S
+    return 0.0
 
 
 @dataclass(frozen=True)
@@ -187,16 +164,13 @@ class ChaosSchedule:
 
     @classmethod
     def generate(
-        cls,
-        config: ChaosScheduleConfig,
-        horizon_ops: int,
-        seed: int,
+        cls, horizon_ops: int, seed: int, rate_scale: float = 1.0
     ) -> ChaosSchedule:
         """Draw a schedule: Poisson arrivals per kind, seeded per kind."""
         if horizon_ops <= 0:
             raise ValueError("schedule horizon must be positive")
         events: list[ChaosEvent] = []
-        rates = config.rates()
+        rates = _chaos_rates(rate_scale)
         for index, kind in enumerate(KIND_ORDER):
             rate = rates[kind]
             if rate == 0:
@@ -209,7 +183,7 @@ class ChaosSchedule:
                     ChaosEvent(
                         kind=kind,
                         op_index=int(op),
-                        magnitude=config._magnitude(kind, rng),
+                        magnitude=_magnitude(kind, rng),
                     )
                 )
         events.sort(key=lambda e: (e.op_index, KIND_ORDER.index(e.kind)))
@@ -231,6 +205,6 @@ class ChaosSchedule:
         return len(self.events)
 
 
-def scheduled_chaos_count(config: ChaosScheduleConfig, horizon_ops: int) -> float:
+def scheduled_chaos_count(horizon_ops: int, rate_scale: float = 1.0) -> float:
     """Expected number of events a schedule of this horizon draws."""
-    return sum(config.rates().values()) * horizon_ops / 100.0
+    return sum(_chaos_rates(rate_scale).values()) * horizon_ops / 100.0

@@ -261,11 +261,9 @@ def _track_with_faults(device: WiViDevice, args: argparse.Namespace) -> int:
     """Tracking run under the fault-injection + recovery pipeline."""
     from repro.core.monitoring import ResilientDevice
     from repro.errors import ReproError
-    from repro.faults import FaultInjector, FaultSchedule, FaultScheduleConfig
+    from repro.faults import FaultInjector, FaultSchedule
 
-    schedule = FaultSchedule.generate(
-        FaultScheduleConfig(), duration_s=args.duration + 2.0, seed=args.fault_seed
-    )
+    schedule = FaultSchedule.generate(duration_s=args.duration + 2.0, seed=args.fault_seed)
     out(f"fault schedule (seed {args.fault_seed}): {schedule.describe()}")
     resilient = ResilientDevice(device, injector=FaultInjector(schedule))
     try:
@@ -329,11 +327,9 @@ def cmd_stream(args: argparse.Namespace) -> int:
     series = device.capture(args.duration)
     injector = None
     if args.inject_faults:
-        from repro.faults import FaultInjector, FaultSchedule, FaultScheduleConfig
+        from repro.faults import FaultInjector, FaultSchedule
 
-        schedule = FaultSchedule.generate(
-            FaultScheduleConfig(), duration_s=args.duration + 2.0, seed=args.fault_seed
-        )
+        schedule = FaultSchedule.generate(duration_s=args.duration + 2.0, seed=args.fault_seed)
         out(f"fault schedule (seed {args.fault_seed}): {schedule.describe()}")
         injector = FaultInjector(schedule)
         series = injector.corrupt_series(series, 0.0)
@@ -583,12 +579,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     chaos = None
     if args.chaos_seed is not None:
-        from repro.chaos import ChaosSchedule, ChaosScheduleConfig, ServerChaos
+        from repro.chaos import ChaosSchedule, ServerChaos
 
-        schedule = ChaosSchedule.generate(
-            ChaosScheduleConfig(), horizon_ops=100, seed=args.chaos_seed
-        )
-        chaos = ServerChaos(schedule)
+        chaos = ServerChaos(ChaosSchedule.generate(horizon_ops=100, seed=args.chaos_seed))
 
     def summary(server) -> str:
         stats, scheduler = server.stats, server.scheduler.stats
@@ -748,10 +741,10 @@ def cmd_record(args: argparse.Namespace) -> int:
     series = device.capture(args.duration)
     fault_schedule = None
     if args.inject_faults:
-        from repro.faults import FaultInjector, FaultSchedule, FaultScheduleConfig
+        from repro.faults import FaultInjector, FaultSchedule
 
         fault_schedule = FaultSchedule.generate(
-            FaultScheduleConfig(), duration_s=args.duration + 2.0, seed=args.fault_seed
+            duration_s=args.duration + 2.0, seed=args.fault_seed
         )
         out(f"fault schedule (seed {args.fault_seed}): {fault_schedule.describe()}")
         series = FaultInjector(fault_schedule).corrupt_series(series, 0.0)

@@ -37,6 +37,35 @@ from repro.simulator.timeseries import ChannelSeries
 from repro.telemetry.context import get_telemetry
 
 
+#: How much the suppression may erode before recalibration is
+#: demanded.  10 dB keeps the residual well clear of the ADC ceiling
+#: headroom the power boost consumed.
+EROSION_BUDGET_DB = 10.0
+
+# Thresholds and hysteresis of the recovery pipeline.
+
+#: Captures with at most this fraction of damaged (NaN/zero) samples
+#: are sanitized in place and the device merely degrades; beyond it the
+#: capture is discarded.
+MAX_REPAIRABLE_FRACTION = 0.1
+#: Clipped captures beyond this fraction are discarded (clipping cannot
+#: be interpolated away).
+MAX_SATURATION_FRACTION = 0.05
+#: Consecutive clean captures required to climb DEGRADED → HEALTHY
+#: (hysteresis: one good capture does not prove recovery).
+RECOVER_AFTER_GOOD = 2
+#: Consecutive bad captures that push DEGRADED → RECALIBRATING.
+RECALIBRATE_AFTER_BAD = 2
+#: Discarded-capture retries per :meth:`ResilientDevice.capture` call
+#: before declaring the device FAILED.
+MAX_CAPTURE_ATTEMPTS = 3
+#: Bounded retries inside each recalibration (see
+#: :func:`run_nulling_with_retry`).
+CALIBRATION_ATTEMPTS = 3
+#: Failed recalibrations tolerated before FAILED.
+MAX_RECALIBRATION_FAILURES = 2
+
+
 def dc_level(series: ChannelSeries) -> float:
     """The trace's static-residual magnitude: |mean of the samples|.
 
@@ -50,19 +79,12 @@ def dc_level(series: ChannelSeries) -> float:
 class NullingMonitor:
     """Tracks residual growth against the calibration-time baseline.
 
-    Attributes:
-        erosion_budget_db: how much the suppression may erode before
-            recalibration is demanded.  10 dB keeps the residual well
-            clear of the ADC ceiling headroom the power boost consumed.
+    Recalibration is demanded once the suppression erodes by more than
+    :data:`EROSION_BUDGET_DB`.
     """
 
-    erosion_budget_db: float = 10.0
     baseline_level: float | None = None
     history_db: list[float] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.erosion_budget_db <= 0:
-            raise ValueError("erosion budget must be positive")
 
     def set_baseline(self, series: ChannelSeries) -> None:
         """Record the post-calibration DC level."""
@@ -81,7 +103,7 @@ class NullingMonitor:
 
     def needs_recalibration(self, series: ChannelSeries) -> bool:
         """Whether this trace's residual exceeds the budget."""
-        return self.erosion_db(series) > self.erosion_budget_db
+        return self.erosion_db(series) > EROSION_BUDGET_DB
 
 
 @dataclass
@@ -95,7 +117,7 @@ class AutoCalibratingDevice:
     """
 
     device: WiViDevice
-    monitor: NullingMonitor = field(default_factory=NullingMonitor)
+    monitor: NullingMonitor = field(default_factory=NullingMonitor, init=False)
     recalibration_count: int = 0
 
     def _calibrate_and_baseline(self) -> NullingResult:
@@ -226,70 +248,23 @@ class HealthTransition:
     reason: str
 
 
-@dataclass(frozen=True)
-class RecoveryPolicy:
-    """Thresholds and hysteresis of the recovery pipeline.
-
-    Attributes:
-        max_repairable_fraction: captures with at most this fraction of
-            damaged (NaN/zero) samples are sanitized in place and the
-            device merely degrades; beyond it the capture is discarded.
-        max_saturation_fraction: clipped captures beyond this fraction
-            are discarded (clipping cannot be interpolated away).
-        recover_after_good: consecutive clean captures required to
-            climb DEGRADED → HEALTHY (hysteresis: one good capture
-            does not prove recovery).
-        recalibrate_after_bad: consecutive bad captures that push
-            DEGRADED → RECALIBRATING.
-        max_capture_attempts: discarded-capture retries per
-            :meth:`ResilientDevice.capture` call before declaring the
-            device FAILED.
-        calibration_attempts: bounded retries inside each
-            recalibration (see :func:`run_nulling_with_retry`).
-        max_recalibration_failures: failed recalibrations tolerated
-            before FAILED.
-    """
-
-    max_repairable_fraction: float = 0.1
-    max_saturation_fraction: float = 0.05
-    recover_after_good: int = 2
-    recalibrate_after_bad: int = 2
-    max_capture_attempts: int = 3
-    calibration_attempts: int = 3
-    max_recalibration_failures: int = 2
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.max_repairable_fraction < 1:
-            raise ValueError("repairable fraction must be in [0, 1)")
-        if not 0 < self.max_saturation_fraction < 1:
-            raise ValueError("saturation fraction must be in (0, 1)")
-        for name in (
-            "recover_after_good",
-            "recalibrate_after_bad",
-            "max_capture_attempts",
-            "calibration_attempts",
-            "max_recalibration_failures",
-        ):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-
-
 class HealthStateMachine:
     """HEALTHY → DEGRADED → RECALIBRATING → FAILED with hysteresis.
 
     Transitions (reasons are recorded in ``transitions``):
 
     * HEALTHY --bad capture--> DEGRADED
-    * DEGRADED --``recalibrate_after_bad`` consecutive bad--> RECALIBRATING
-    * DEGRADED --``recover_after_good`` consecutive good--> HEALTHY
+    * DEGRADED --:data:`RECALIBRATE_AFTER_BAD` consecutive bad-->
+      RECALIBRATING
+    * DEGRADED --:data:`RECOVER_AFTER_GOOD` consecutive good--> HEALTHY
     * any live state --nulling erosion over budget--> RECALIBRATING
     * RECALIBRATING --calibration success--> DEGRADED (a recalibrated
       device must still *prove* itself with clean captures)
-    * RECALIBRATING --``max_recalibration_failures`` failures--> FAILED
+    * RECALIBRATING --:data:`MAX_RECALIBRATION_FAILURES` failures-->
+      FAILED
     """
 
-    def __init__(self, policy: RecoveryPolicy | None = None):
-        self.policy = policy if policy is not None else RecoveryPolicy()
+    def __init__(self):
         self.state = DeviceHealth.HEALTHY
         self.transitions: list[HealthTransition] = []
         self.capture_index = 0
@@ -333,7 +308,7 @@ class HealthStateMachine:
         self._bad_streak = 0
         if (
             self.state is DeviceHealth.DEGRADED
-            and self._good_streak >= self.policy.recover_after_good
+            and self._good_streak >= RECOVER_AFTER_GOOD
         ):
             self.recovery_count += 1
             self._move(
@@ -350,7 +325,7 @@ class HealthStateMachine:
             self._move(DeviceHealth.DEGRADED, reason)
         elif (
             self.state is DeviceHealth.DEGRADED
-            and self._bad_streak >= self.policy.recalibrate_after_bad
+            and self._bad_streak >= RECALIBRATE_AFTER_BAD
         ):
             self._move(
                 DeviceHealth.RECALIBRATING,
@@ -375,7 +350,7 @@ class HealthStateMachine:
     def recalibration_failed(self, reason: str) -> None:
         self._assert_live()
         self._recalibration_failures += 1
-        if self._recalibration_failures >= self.policy.max_recalibration_failures:
+        if self._recalibration_failures >= MAX_RECALIBRATION_FAILURES:
             self._move(
                 DeviceHealth.FAILED,
                 f"{self._recalibration_failures} recalibration failures: {reason}",
@@ -390,7 +365,7 @@ class HealthStateMachine:
         Captures everything the transition logic depends on — state,
         streaks, failure budget, counters — but not the transition
         *history*: a resumed machine records only the transitions it
-        makes from here on, against the same policy thresholds.
+        makes from here on, against the same thresholds.
         """
         return {
             "state": self.state.value,
@@ -454,7 +429,7 @@ class ResilientDevice:
 
     Usage::
 
-        injector = FaultInjector(FaultSchedule.generate(config, 30.0, seed))
+        injector = FaultInjector(FaultSchedule.generate(30.0, seed))
         device = ResilientDevice(WiViDevice(scene, rng), injector=injector)
         spectrogram = device.image(10.0)   # never raises on injected faults
         device.machine.state_sequence()    # the health audit trail
@@ -464,14 +439,11 @@ class ResilientDevice:
         self,
         device: WiViDevice,
         injector: FaultInjector | None = None,
-        monitor: NullingMonitor | None = None,
-        policy: RecoveryPolicy | None = None,
     ):
         self.device = device
         self.injector = injector
-        self.monitor = monitor if monitor is not None else NullingMonitor()
-        self.policy = policy if policy is not None else RecoveryPolicy()
-        self.machine = HealthStateMachine(self.policy)
+        self.monitor = NullingMonitor()
+        self.machine = HealthStateMachine()
         #: Machine state observed after each returned capture.
         self.health_trace: list[DeviceHealth] = []
         #: Samples repaired by sanitization, lifetime total.
@@ -491,9 +463,7 @@ class ResilientDevice:
         if not initial and self.machine.state is not DeviceHealth.RECALIBRATING:
             self.machine.demand_recalibration(reason)
         try:
-            self.device.calibrate_with_retry(
-                max_attempts=self.policy.calibration_attempts
-            )
+            self.device.calibrate_with_retry(max_attempts=CALIBRATION_ATTEMPTS)
         except CalibrationError as exc:
             if initial:
                 self.machine.fail(f"initial calibration failed: {exc}")
@@ -528,13 +498,13 @@ class ResilientDevice:
             raise DeviceFailedError("device is FAILED; no captures possible")
         if not self.device.is_calibrated:
             self._recalibrate("initial calibration", initial=True)
-        for _ in range(self.policy.max_capture_attempts):
+        for _ in range(MAX_CAPTURE_ATTEMPTS):
             self.machine.capture_index += 1
             series = self._raw_capture(duration_s)
             health = screen_series(series)
             if (
-                health.saturation_fraction > self.policy.max_saturation_fraction
-                or health.damaged_fraction > self.policy.max_repairable_fraction
+                health.saturation_fraction > MAX_SATURATION_FRACTION
+                or health.damaged_fraction > MAX_REPAIRABLE_FRACTION
             ):
                 self.machine.record_bad(
                     f"capture discarded (nan={health.nan_fraction:.3f}, "
@@ -563,10 +533,10 @@ class ResilientDevice:
             self.health_trace.append(self.machine.state)
             return series
         self.machine.fail(
-            f"{self.policy.max_capture_attempts} unusable captures in a row"
+            f"{MAX_CAPTURE_ATTEMPTS} unusable captures in a row"
         )
         raise CaptureQualityError(
-            f"no usable capture in {self.policy.max_capture_attempts} attempts"
+            f"no usable capture in {MAX_CAPTURE_ATTEMPTS} attempts"
         )
 
     def image(self, duration_s: float) -> MotionSpectrogram:

@@ -3,17 +3,19 @@
 Two subsystems move large float arrays through JSON-shaped records and
 need the transfer to be *bit-exact*: the serving wire protocol
 (:mod:`repro.serve.protocol`) and the on-disk capture format
-(:mod:`repro.capture.format`).  Both speak the same two encodings:
+(:mod:`repro.capture.format`).  The encoders always write one
+encoding; the decoder accepts two:
 
-* **packed** (the default): base64 of the raw little-endian float64
-  bytes.  Bit-exact by construction, ~40% smaller than decimal text,
-  and three orders of magnitude cheaper to encode than per-float
-  ``repr`` — the profiling result that made it the serve default.
-* **plain lists** of JSON numbers, for debuggability (a frame or a
-  manifest line stays readable with ``jq``).  Still bit-exact: Python
-  serializes floats via ``repr``, the shortest decimal string that
-  round-trips to the identical IEEE-754 double (non-finite values ride
-  the stdlib JSON extension literals ``NaN``/``Infinity``).
+* **packed**: base64 of the raw little-endian float64 bytes.
+  Bit-exact by construction, ~40% smaller than decimal text, and three
+  orders of magnitude cheaper to encode than per-float ``repr`` — the
+  profiling result that made it the only encoding written.
+* **plain lists** of JSON numbers, which a client may send for
+  debuggability (a frame stays readable with ``jq``).  Still
+  bit-exact: Python serializes floats via ``repr``, the shortest
+  decimal string that round-trips to the identical IEEE-754 double
+  (non-finite values ride the stdlib JSON extension literals
+  ``NaN``/``Infinity``).
 
 Complex sample streams interleave as ``re, im`` pairs.  The raw-bytes
 helpers (:func:`floats_to_bytes` / :func:`floats_from_bytes`) are the
@@ -70,11 +72,6 @@ def unpack_floats(payload: str) -> np.ndarray:
     except (binascii.Error, UnicodeEncodeError):
         raise ProtocolError("packed floats are not valid base64") from None
     return floats_from_bytes(raw)
-
-
-def float_array_to_wire(values: np.ndarray, packed: bool) -> Any:
-    """One float array as its wire/record value (packed or plain)."""
-    return pack_floats(values) if packed else values.tolist()
 
 
 def float_array_from_wire(payload: Any, what: str) -> np.ndarray:
@@ -139,9 +136,9 @@ def samples_from_bytes(raw: bytes) -> np.ndarray:
     return deinterleave_complex(floats_from_bytes(raw))
 
 
-def encode_samples(samples: np.ndarray, packed: bool = True) -> Any:
-    """Complex samples -> interleaved ``re, im`` pairs, packed or plain."""
-    return float_array_to_wire(interleave_complex(samples), packed)
+def encode_samples(samples: np.ndarray) -> str:
+    """Complex samples -> interleaved ``re, im`` pairs, packed."""
+    return pack_floats(interleave_complex(samples))
 
 
 def decode_samples(payload: Any) -> np.ndarray:

@@ -20,7 +20,6 @@ from repro.faults.schedule import (
     FaultEvent,
     FaultKind,
     FaultSchedule,
-    FaultScheduleConfig,
 )
 
 __all__ = [
@@ -29,5 +28,4 @@ __all__ = [
     "FaultKind",
     "FaultLogEntry",
     "FaultSchedule",
-    "FaultScheduleConfig",
 ]

@@ -1,14 +1,15 @@
 """Seeded fault schedules: deterministic event lists per fault kind.
 
-Each fault kind arrives as a Poisson process with a configured rate;
-event times, durations, and magnitudes are drawn from a per-kind child
-generator seeded as ``(seed, kind_index)``, so the schedule for one
-kind never depends on how many events another kind drew.  Two calls to
-:meth:`FaultSchedule.generate` with the same config, duration, and
-seed produce *identical* schedules — the property the determinism
-acceptance test pins down.
+Each fault kind arrives as a Poisson process at its rate in
+:data:`FAULT_RATES_HZ`; event times, durations, and magnitudes are
+drawn from a per-kind child generator seeded as ``(seed, kind_index)``,
+so the schedule for one kind never depends on how many events another
+kind drew.  Two calls to :meth:`FaultSchedule.generate` with the same
+duration and seed produce *identical* schedules — the property the
+determinism acceptance test pins down, and a committed capture's
+recorded schedule pins across commits.
 
-Default rates (events per second) model a struggling but not hopeless
+The rates (events per second) model a struggling but not hopeless
 host: roughly one fault somewhere every four seconds of capture.  They
 are documented in DESIGN.md ("Failure model and recovery policy").
 """
@@ -16,7 +17,7 @@ are documented in DESIGN.md ("Failure model and recovery policy").
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,85 +81,54 @@ class FaultEvent:
         )
 
 
-@dataclass(frozen=True)
-class FaultScheduleConfig:
-    """Arrival rates and magnitudes of the injected fault mix.
+#: Poisson arrival rate of each kind, in events per second of capture.
+FAULT_RATES_HZ: dict[FaultKind, float] = {
+    FaultKind.NAN_BURST: 0.08,
+    FaultKind.ADC_SATURATION: 0.05,
+    FaultKind.OVERFLOW_STORM: 0.05,
+    FaultKind.CLOCK_JUMP: 0.03,
+    FaultKind.GAIN_DROPOUT: 0.04,
+    FaultKind.CHANNEL_STEP: 0.02,
+}
 
-    The per-kind ``*_rate_hz`` values are Poisson arrival rates in
-    events per second of capture; ``rate_scale`` multiplies all of
-    them, so experiments can sweep overall fault pressure with one
-    knob.  Magnitude knobs:
+#: Length of each NaN/Inf burst.
+NAN_BURST_DURATION_S = 0.08
+#: Length of each ADC saturation episode.
+SATURATION_DURATION_S = 0.25
+#: Saturation rail level as a fraction of the clean window's RMS
+#: amplitude (values < 1 clip hard).
+SATURATION_CLIP_FACTOR = 0.4
+#: Length of each overflow storm.
+OVERFLOW_DURATION_S = 0.3
+#: Fraction of the affected window's samples the host drops during an
+#: overflow storm.
+OVERFLOW_DROP_FRACTION = 1.0
+#: Clock jumps draw a phase in [0.25, CLOCK_JUMP_MAX_RAD] radians
+#: (uniform).
+CLOCK_JUMP_MAX_RAD = 3.0
+#: Length of an antenna-gain dropout.
+DROPOUT_DURATION_S = 0.5
+#: Linear amplitude factor during a dropout (0.1 = a 20 dB gain loss).
+DROPOUT_GAIN = 0.1
+#: Size of a static-channel step (a door opens) relative to the
+#: capture's mean amplitude.
+CHANNEL_STEP_FACTOR = 4.0
 
-    Attributes:
-        nan_burst_duration_s: length of each NaN/Inf burst.
-        saturation_duration_s: length of each ADC saturation episode.
-        saturation_clip_factor: rail level as a fraction of the clean
-            window's RMS amplitude (values < 1 clip hard).
-        overflow_drop_fraction: fraction of the affected window's
-            samples the host drops during an overflow storm.
-        clock_jump_max_rad: clock jumps draw a phase in
-            [0.25, clock_jump_max_rad] radians (uniform).
-        dropout_duration_s: length of an antenna-gain dropout.
-        dropout_gain: linear amplitude factor during a dropout
-            (0.1 = a 20 dB gain loss).
-        channel_step_factor: size of a static-channel step (a door
-            opens) relative to the capture's mean amplitude.
-    """
 
-    nan_burst_rate_hz: float = 0.08
-    adc_saturation_rate_hz: float = 0.05
-    overflow_storm_rate_hz: float = 0.05
-    clock_jump_rate_hz: float = 0.03
-    gain_dropout_rate_hz: float = 0.04
-    channel_step_rate_hz: float = 0.02
-    rate_scale: float = 1.0
-
-    nan_burst_duration_s: float = 0.08
-    saturation_duration_s: float = 0.25
-    saturation_clip_factor: float = 0.4
-    overflow_duration_s: float = 0.3
-    overflow_drop_fraction: float = 1.0
-    clock_jump_max_rad: float = 3.0
-    dropout_duration_s: float = 0.5
-    dropout_gain: float = 0.1
-    channel_step_factor: float = 4.0
-
-    def __post_init__(self) -> None:
-        for name, rate in self.rates_hz().items():
-            if rate < 0:
-                raise ValueError(f"{name} rate must be non-negative")
-        if self.rate_scale < 0:
-            raise ValueError("rate scale must be non-negative")
-        if not 0 < self.overflow_drop_fraction <= 1:
-            raise ValueError("overflow drop fraction must be in (0, 1]")
-        if self.dropout_gain < 0 or self.saturation_clip_factor <= 0:
-            raise ValueError("gains and clip factors must be positive")
-
-    def rates_hz(self) -> dict[FaultKind, float]:
-        """Effective per-kind arrival rates (after ``rate_scale``)."""
-        return {
-            FaultKind.NAN_BURST: self.nan_burst_rate_hz * self.rate_scale,
-            FaultKind.ADC_SATURATION: self.adc_saturation_rate_hz * self.rate_scale,
-            FaultKind.OVERFLOW_STORM: self.overflow_storm_rate_hz * self.rate_scale,
-            FaultKind.CLOCK_JUMP: self.clock_jump_rate_hz * self.rate_scale,
-            FaultKind.GAIN_DROPOUT: self.gain_dropout_rate_hz * self.rate_scale,
-            FaultKind.CHANNEL_STEP: self.channel_step_rate_hz * self.rate_scale,
-        }
-
-    def _duration_magnitude(
-        self, kind: FaultKind, rng: np.random.Generator
-    ) -> tuple[float, float]:
-        if kind is FaultKind.NAN_BURST:
-            return self.nan_burst_duration_s, 0.0
-        if kind is FaultKind.ADC_SATURATION:
-            return self.saturation_duration_s, self.saturation_clip_factor
-        if kind is FaultKind.OVERFLOW_STORM:
-            return self.overflow_duration_s, self.overflow_drop_fraction
-        if kind is FaultKind.CLOCK_JUMP:
-            return 0.0, float(rng.uniform(0.25, self.clock_jump_max_rad))
-        if kind is FaultKind.GAIN_DROPOUT:
-            return self.dropout_duration_s, self.dropout_gain
-        return 0.0, self.channel_step_factor  # CHANNEL_STEP
+def _duration_magnitude(
+    kind: FaultKind, rng: np.random.Generator
+) -> tuple[float, float]:
+    if kind is FaultKind.NAN_BURST:
+        return NAN_BURST_DURATION_S, 0.0
+    if kind is FaultKind.ADC_SATURATION:
+        return SATURATION_DURATION_S, SATURATION_CLIP_FACTOR
+    if kind is FaultKind.OVERFLOW_STORM:
+        return OVERFLOW_DURATION_S, OVERFLOW_DROP_FRACTION
+    if kind is FaultKind.CLOCK_JUMP:
+        return 0.0, float(rng.uniform(0.25, CLOCK_JUMP_MAX_RAD))
+    if kind is FaultKind.GAIN_DROPOUT:
+        return DROPOUT_DURATION_S, DROPOUT_GAIN
+    return 0.0, CHANNEL_STEP_FACTOR  # CHANNEL_STEP
 
 
 @dataclass(frozen=True)
@@ -174,26 +144,20 @@ class FaultSchedule:
     seed: int | None = None
 
     @classmethod
-    def generate(
-        cls,
-        config: FaultScheduleConfig,
-        duration_s: float,
-        seed: int,
-    ) -> FaultSchedule:
+    def generate(cls, duration_s: float, seed: int) -> FaultSchedule:
         """Draw a schedule: Poisson arrivals per kind, seeded per kind."""
         if duration_s <= 0:
             raise ValueError("schedule duration must be positive")
         events: list[FaultEvent] = []
-        rates = config.rates_hz()
         for index, kind in enumerate(_KIND_ORDER):
-            rate = rates[kind]
+            rate = FAULT_RATES_HZ[kind]
             if rate == 0:
                 continue
             rng = np.random.default_rng([int(seed), index])
             count = int(rng.poisson(rate * duration_s))
             starts = np.sort(rng.uniform(0.0, duration_s, count))
             for start in starts:
-                duration, magnitude = config._duration_magnitude(kind, rng)
+                duration, magnitude = _duration_magnitude(kind, rng)
                 events.append(
                     FaultEvent(
                         kind=kind,
@@ -219,8 +183,6 @@ class FaultSchedule:
         return len(self.events)
 
 
-def scheduled_fault_count(
-    config: FaultScheduleConfig, duration_s: float
-) -> float:
+def scheduled_fault_count(duration_s: float) -> float:
     """Expected number of events a schedule of this length draws."""
-    return sum(config.rates_hz().values()) * duration_s
+    return sum(FAULT_RATES_HZ.values()) * duration_s

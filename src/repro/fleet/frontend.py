@@ -12,10 +12,10 @@ stack.  The frontend adds only routing-layer behavior:
   :class:`~repro.serve.resilient.ResilientServeClient` presenting the
   same key re-lands deterministically while the membership holds, and
   remaps minimally when it does not.
-* **Admission** — a shard already at its session limit is shed at the
-  frontend with the same :class:`SessionLimitError` the worker would
-  raise; per-push admission (:class:`ServeOverloadError`) relays
-  through from the worker's scheduler untouched.
+* **Admission** — the worker decides: its :class:`SessionLimitError`
+  (counted in ``FleetStats.shed_sessions``) and its per-push
+  :class:`ServeOverloadError` relay through untouched.  The frontend
+  sheds a session itself only when no shard is routable.
 * **Drain** — :meth:`drain_shard` removes the shard from the ring
   (new sessions re-hash), answers the shard's remaining sessions with
   typed :class:`ShardDrainingError` frames (their clients resume onto
@@ -530,7 +530,7 @@ class FleetServer:
                 pass
 
     def _route_key(self, routing_key: str) -> _ShardState:
-        """The routable shard owning ``routing_key``, admission-checked."""
+        """The routable shard owning ``routing_key``."""
         routable = [
             state.name for state in self._shards.values() if state.routable
         ]
@@ -546,12 +546,6 @@ class FleetServer:
             # fall back to a deterministic rehash over routable shards.
             fallback = HashRing(routable)
             state = self._shards[fallback.lookup(routing_key)]
-        limit = state.spec.serve.max_sessions
-        if state.current("server.active_sessions") >= limit:
-            self.stats.shed_sessions += 1
-            raise SessionLimitError(
-                f"shard {state.name} is at its limit of {limit} sessions"
-            )
         return state
 
 
@@ -720,6 +714,8 @@ class _ClientRelay:
         if reply.get("type") != protocol.SESSION_OPENED:
             # Typed worker rejection (session limit, bad resume, ...):
             # relay the exact error frame.
+            if reply.get("error") == SessionLimitError.__name__:
+                fleet.stats.shed_sessions += 1
             return await self._send_client_raw(reply_line)
         self.routes[str(reply.get("session"))] = _SessionRoute(
             shard=state.name, generation=state.generation

@@ -1,6 +1,6 @@
 """Consistent-hash session→shard assignment for the fleet frontend.
 
-A classic hash ring: every shard contributes ``replicas`` virtual
+A classic hash ring: every shard contributes :data:`REPLICAS` virtual
 points placed by a stable hash (blake2b — salted per replica, identical
 across processes and Python runs, unlike ``hash()``), and a routing
 key lands on the first point clockwise from its own hash.  Two
@@ -29,7 +29,7 @@ __all__ = ["HashRing", "stable_hash"]
 #: Virtual points per shard.  64 keeps the assignment spread within a
 #: few percent of uniform for small fleets while the ring stays tiny
 #: (N*64 ints).
-DEFAULT_REPLICAS = 64
+REPLICAS = 64
 
 
 def stable_hash(key: str) -> int:
@@ -41,12 +41,7 @@ def stable_hash(key: str) -> int:
 class HashRing:
     """Deterministic consistent hashing over named shards."""
 
-    def __init__(
-        self, shards: Iterable[str] = (), replicas: int = DEFAULT_REPLICAS
-    ):
-        if replicas < 1:
-            raise ValueError("replicas must be positive")
-        self.replicas = replicas
+    def __init__(self, shards: Iterable[str] = ()):
         self._points: list[int] = []
         self._owners: dict[int, str] = {}
         self._shards: set[str] = set()
@@ -69,7 +64,7 @@ class HashRing:
         if shard in self._shards:
             return
         self._shards.add(shard)
-        for replica in range(self.replicas):
+        for replica in range(REPLICAS):
             point = stable_hash(f"{shard}#{replica}")
             # A (vanishingly unlikely) 64-bit collision between two
             # shards' points would make removal order-dependent; keep
@@ -86,7 +81,7 @@ class HashRing:
         if shard not in self._shards:
             return
         self._shards.discard(shard)
-        for replica in range(self.replicas):
+        for replica in range(REPLICAS):
             point = stable_hash(f"{shard}#{replica}")
             if self._owners.get(point) == shard:
                 del self._owners[point]

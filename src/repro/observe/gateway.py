@@ -33,6 +33,7 @@ from repro.dsp.backend import active_backend_name
 from repro.errors import ProtocolError
 from repro.observe.dashboard import DASHBOARD_HTML
 from repro.observe.http import (
+    MAX_WS_FRAME_BYTES,
     WS_CLOSE,
     WS_PING,
     WS_PONG,
@@ -57,20 +58,20 @@ class ObserveConfig:
             each beat publishes a ``metrics.delta`` (when the registry
             changed) and, with a server attached and subscribers
             present, a ``server.stats`` event.
-        ws_max_queue: per-subscriber unread-event bound (hub default
-            when ``None``).
-        shed_after_drops: drops before a slow subscriber is shed.
         replay_rate: recorded events streamed per second in replay
             mode; ``0`` streams the whole log unpaced.
+
+    A subscriber's queue bound and shed budget are the hub's
+    :data:`~repro.observe.hub.MAX_QUEUE` and
+    :data:`~repro.observe.hub.SHED_AFTER_DROPS`; an inbound frame
+    (HTTP request line or WebSocket frame) may not exceed
+    :data:`~repro.observe.http.MAX_WS_FRAME_BYTES`.
     """
 
     host: str = "127.0.0.1"
     port: int = 0
     interval_s: float = 0.5
-    ws_max_queue: int | None = None
-    shed_after_drops: int | None = None
     replay_rate: float = 500.0
-    max_ws_frame_bytes: int = 1 << 20
 
     def __post_init__(self) -> None:
         if self.interval_s <= 0:
@@ -180,7 +181,7 @@ class ObserveGateway:
             self._handle_connection,
             host=self.config.host,
             port=self.config.port,
-            limit=self.config.max_ws_frame_bytes,
+            limit=MAX_WS_FRAME_BYTES,
         )
         self._periodic_task = asyncio.create_task(
             self._periodic_loop(), name="observe-periodic"
@@ -440,12 +441,7 @@ class ObserveGateway:
         self.ws_connections += 1
         self._ws_writers.add(writer)
         transport = writer.transport
-        subscription = self.hub.subscribe(
-            max_queue=self.config.ws_max_queue,
-            on_shed=transport.abort,
-        )
-        if self.config.shed_after_drops is not None:
-            subscription.shed_after_drops = self.config.shed_after_drops
+        subscription = self.hub.subscribe(on_shed=transport.abort)
         closed = asyncio.Event()
         reader_task = asyncio.create_task(
             self._ws_reader(reader, writer, closed), name="observe-ws-reader"
@@ -525,9 +521,7 @@ class ObserveGateway:
         """Drain client frames: answer pings, notice the close."""
         try:
             while True:
-                opcode, payload = await read_ws_frame(
-                    reader, self.config.max_ws_frame_bytes
-                )
+                opcode, payload = await read_ws_frame(reader)
                 if opcode == WS_CLOSE:
                     break
                 if opcode == WS_PING:

@@ -29,6 +29,8 @@ MAX_LINE_BYTES = 8192
 MAX_HEADER_COUNT = 100
 #: Upper bound on a request body we are willing to drain.
 MAX_BODY_BYTES = 1 << 20
+#: Upper bound on one inbound WebSocket frame's payload, bytes.
+MAX_WS_FRAME_BYTES = 1 << 20
 
 #: RFC 6455 handshake GUID, concatenated to the client key before SHA-1.
 WS_MAGIC = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
@@ -203,14 +205,12 @@ def _apply_mask(payload: bytes, key: bytes) -> bytes:
     return bytes(b ^ k for b, k in zip(payload, repeated))
 
 
-async def read_ws_frame(
-    reader: asyncio.StreamReader, max_bytes: int = 1 << 20
-) -> tuple[int, bytes]:
+async def read_ws_frame(reader: asyncio.StreamReader) -> tuple[int, bytes]:
     """Read one frame; returns ``(opcode, payload)`` with masking undone.
 
     Raises:
         ProtocolError: fragmented frame, continuation opcode, or a
-            payload larger than ``max_bytes``.
+            payload larger than :data:`MAX_WS_FRAME_BYTES`.
         asyncio.IncompleteReadError: the peer hung up mid-frame.
     """
     first, second = await reader.readexactly(2)
@@ -224,8 +224,10 @@ async def read_ws_frame(
         (length,) = struct.unpack(">H", await reader.readexactly(2))
     elif length == 127:
         (length,) = struct.unpack(">Q", await reader.readexactly(8))
-    if length > max_bytes:
-        raise ProtocolError(f"WebSocket frame of {length} bytes exceeds {max_bytes}")
+    if length > MAX_WS_FRAME_BYTES:
+        raise ProtocolError(
+            f"WebSocket frame of {length} bytes exceeds {MAX_WS_FRAME_BYTES}"
+        )
     key = await reader.readexactly(4) if masked else b""
     payload = await reader.readexactly(length) if length else b""
     if masked:

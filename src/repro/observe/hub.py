@@ -10,7 +10,7 @@ the hot path safe to tap:
   subscribers it is one attribute check.  A full subscriber queue drops
   the event for that subscriber (counted per-subscription and in
   :class:`HubStats`), and a subscriber that accumulates
-  ``shed_after_drops`` drops is **shed**: marked, unsubscribed, and its
+  :data:`SHED_AFTER_DROPS` drops is **shed**: marked, unsubscribed, and its
   ``on_shed`` callback fired so the transport can be aborted even while
   the handler is parked in ``drain()``.  A slow dashboard can therefore
   never back-pressure the serve path — it loses its feed instead.
@@ -33,10 +33,10 @@ from typing import Any, Callable
 from repro.telemetry.context import get_telemetry
 from repro.telemetry.metrics import diff_snapshot
 
-#: Default bound on one subscriber's unread-event queue.
-DEFAULT_MAX_QUEUE = 256
+#: Bound on one subscriber's unread-event queue.
+MAX_QUEUE = 256
 #: Total drops after which a slow subscriber is shed.
-DEFAULT_SHED_AFTER_DROPS = 64
+SHED_AFTER_DROPS = 64
 
 
 @dataclass
@@ -63,15 +63,10 @@ class Subscription:
     """One consumer's bounded view of the hub's event stream."""
 
     def __init__(
-        self,
-        hub: "TelemetryHub",
-        max_queue: int,
-        shed_after_drops: int,
-        on_shed: Callable[[], None] | None = None,
+        self, hub: "TelemetryHub", on_shed: Callable[[], None] | None = None
     ):
         self._hub = hub
-        self.queue: asyncio.Queue[dict[str, Any]] = asyncio.Queue(max_queue)
-        self.shed_after_drops = shed_after_drops
+        self.queue: asyncio.Queue[dict[str, Any]] = asyncio.Queue(MAX_QUEUE)
         self.on_shed = on_shed
         self.dropped = 0
         self.delivered = 0
@@ -94,14 +89,7 @@ class TelemetryHub:
     gateway (or a test) drives :meth:`metrics_delta` periodically.
     """
 
-    def __init__(
-        self,
-        max_queue: int = DEFAULT_MAX_QUEUE,
-        shed_after_drops: int = DEFAULT_SHED_AFTER_DROPS,
-        clock=time.time,
-    ):
-        self.max_queue = max_queue
-        self.shed_after_drops = shed_after_drops
+    def __init__(self, clock=time.time):
         self.stats = HubStats()
         self._clock = clock
         self._subscriptions: list[Subscription] = []
@@ -115,17 +103,8 @@ class TelemetryHub:
     def has_subscribers(self) -> bool:
         return bool(self._subscriptions)
 
-    def subscribe(
-        self,
-        max_queue: int | None = None,
-        on_shed: Callable[[], None] | None = None,
-    ) -> Subscription:
-        subscription = Subscription(
-            self,
-            max_queue if max_queue is not None else self.max_queue,
-            self.shed_after_drops,
-            on_shed=on_shed,
-        )
+    def subscribe(self, on_shed: Callable[[], None] | None = None) -> Subscription:
+        subscription = Subscription(self, on_shed=on_shed)
         self._subscriptions.append(subscription)
         self.stats.max_subscribers = max(
             self.stats.max_subscribers, len(self._subscriptions)
@@ -162,7 +141,7 @@ class TelemetryHub:
             except asyncio.QueueFull:
                 subscription.dropped += 1
                 self.stats.events_dropped += 1
-                if subscription.dropped >= subscription.shed_after_drops:
+                if subscription.dropped >= SHED_AFTER_DROPS:
                     to_shed.append(subscription)
         for subscription in to_shed:
             self._shed(subscription)

@@ -25,7 +25,6 @@ from repro.runtime.pipeline import (
     ConditionStage,
     DetectStage,
     DetectionEvent,
-    DetectorConfig,
     GapEvent,
     HealthEvent,
     StreamingPipeline,
@@ -47,7 +46,6 @@ __all__ = [
     "ConditionStage",
     "DetectStage",
     "DetectionEvent",
-    "DetectorConfig",
     "GapEvent",
     "HealthEvent",
     "ParallelCampaignReport",

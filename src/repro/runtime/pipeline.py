@@ -22,7 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.monitoring import DeviceHealth, HealthStateMachine, RecoveryPolicy
+from repro.core.monitoring import (
+    MAX_REPAIRABLE_FRACTION,
+    MAX_SATURATION_FRACTION,
+    DeviceHealth,
+    HealthStateMachine,
+)
 from repro.core.tracking import MotionSpectrogram
 from repro.telemetry.metrics import RuntimeMetrics, StageTimer
 from repro.runtime.ring import BlockSource, SampleBlock
@@ -128,23 +133,17 @@ def screen_block(samples: np.ndarray) -> BlockHealth:
 class ConditionStage:
     """Screens each block and drives the health machine.
 
-    A block whose damage or saturation exceeds the policy thresholds is
-    a *bad* block: the machine degrades (with the PR-1 hysteresis), and
-    the state transition surfaces as a :class:`HealthEvent`.  Blocks
-    pass through unrepaired — the golden-equivalence contract wants the
-    tracker to see exactly what the radio delivered, and the MUSIC
-    degeneracy guard already handles corrupt windows frame by frame.
+    A block whose damage or saturation exceeds the recovery thresholds
+    of :mod:`repro.core.monitoring` is a *bad* block: the machine
+    degrades (with its hysteresis), and the state transition surfaces
+    as a :class:`HealthEvent`.  Blocks pass through unrepaired — the
+    golden-equivalence contract wants the tracker to see exactly what
+    the radio delivered, and the MUSIC degeneracy guard already handles
+    corrupt windows frame by frame.
     """
 
-    def __init__(
-        self,
-        policy: RecoveryPolicy | None = None,
-        machine: HealthStateMachine | None = None,
-    ):
-        self.policy = policy if policy is not None else RecoveryPolicy()
-        self.machine = (
-            machine if machine is not None else HealthStateMachine(self.policy)
-        )
+    def __init__(self):
+        self.machine = HealthStateMachine()
         self.bad_block_count = 0
 
     def process(self, block: SampleBlock) -> list[HealthEvent]:
@@ -152,8 +151,8 @@ class ConditionStage:
         health = screen_block(block.samples)
         transitions_before = len(self.machine.transitions)
         if (
-            health.damaged_fraction > self.policy.max_repairable_fraction
-            or health.saturation_fraction > self.policy.max_saturation_fraction
+            health.damaged_fraction > MAX_REPAIRABLE_FRACTION
+            or health.saturation_fraction > MAX_SATURATION_FRACTION
         ):
             self.bad_block_count += 1
             self.machine.record_bad(
@@ -184,39 +183,30 @@ class ConditionStage:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DetectorConfig:
-    """Per-column motion detection over the normalized dB column.
-
-    A detection fires when the strongest off-DC peak stands more than
-    ``threshold_db`` above the DC stripe (cf.
-    :func:`repro.core.detection.peak_to_dc_ratio_db`, per column).
-    """
-
-    dc_guard_deg: float = 10.0
-    threshold_db: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.dc_guard_deg < 0:
-            raise ValueError("DC guard must be non-negative")
+#: Half-width of the DC stripe around 0° that detection ignores.
+DC_GUARD_DEG = 10.0
+#: A detection fires when the strongest off-DC peak stands more than
+#: this far above the DC stripe.
+DETECT_THRESHOLD_DB = 0.0
 
 
 class DetectStage:
-    """Flags columns whose off-DC peak outshines the DC stripe."""
+    """Flags columns whose off-DC peak outshines the DC stripe.
 
-    def __init__(
-        self,
-        config: DetectorConfig | None = None,
-        theta_grid_deg: np.ndarray | None = None,
-    ):
-        self.config = config if config is not None else DetectorConfig()
+    A detection fires when the strongest peak outside the
+    :data:`DC_GUARD_DEG` stripe stands more than
+    :data:`DETECT_THRESHOLD_DB` above the stripe's own (cf.
+    :func:`repro.core.detection.peak_to_dc_ratio_db`, per column).
+    """
+
+    def __init__(self, theta_grid_deg: np.ndarray | None = None):
         self._off_dc: np.ndarray | None = None
         if theta_grid_deg is not None:
             self._bind_grid(np.asarray(theta_grid_deg))
 
     def _bind_grid(self, theta_grid_deg: np.ndarray) -> None:
         self.theta_grid_deg = theta_grid_deg
-        self._off_dc = np.abs(theta_grid_deg) >= self.config.dc_guard_deg
+        self._off_dc = np.abs(theta_grid_deg) >= DC_GUARD_DEG
         if not np.any(self._off_dc) or np.all(self._off_dc):
             raise ValueError("DC guard leaves an empty region")
 
@@ -230,7 +220,7 @@ class DetectStage:
         peak_off = float(db[off].max())
         peak_dc = float(db[~off].max())
         strength = peak_off - peak_dc
-        if strength <= self.config.threshold_db:
+        if strength <= DETECT_THRESHOLD_DB:
             return None
         masked = np.where(off, db, -np.inf)
         angle = float(self.theta_grid_deg[int(np.argmax(masked))])

@@ -20,11 +20,7 @@ an uninterrupted run under the seeded chaos harness
 
 from repro.serve.client import AsyncServeClient, ClientStats, PushReply, ServeClient
 from repro.serve.load import LoadReport, SessionOutcome, run_load
-from repro.serve.resilient import (
-    BackoffPolicy,
-    ResilienceStats,
-    ResilientServeClient,
-)
+from repro.serve.resilient import ResilienceStats, ResilientServeClient
 from repro.serve.scheduler import MicroBatchScheduler, SchedulerConfig, SchedulerStats
 from repro.serve.session import (
     CONFIGURABLE_FIELDS,
@@ -36,7 +32,6 @@ from repro.serve.server import SensingServer, ServeConfig, ServerStats
 
 __all__ = [
     "AsyncServeClient",
-    "BackoffPolicy",
     "CONFIGURABLE_FIELDS",
     "ClientStats",
     "LoadReport",

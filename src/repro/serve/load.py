@@ -36,20 +36,16 @@ from typing import Any
 
 import numpy as np
 
-from repro.chaos import ChaosSchedule, ChaosScheduleConfig, ClientChaos
+from repro.chaos import ChaosSchedule, ClientChaos
 from repro.core.tracking import TrackingConfig, compute_spectrogram
 from repro.errors import ReproError, ServeOverloadError
 from repro.serve.client import AsyncServeClient
-from repro.serve.resilient import BackoffPolicy, ResilientServeClient
+from repro.serve.resilient import ResilientServeClient
 from repro.serve.session import config_from_wire
 
 #: Default seed; matches benchmarks/common.py (Wi-Vi's SIGCOMM 2013
 #: camera-ready date) without importing from outside the package.
 DEFAULT_SEED = 20130812
-
-#: Reconnect pacing of the resilient sessions: 12 attempts, about 8.5 s
-#: of backoff before a session gives up on a server or shard.
-BACKOFF = BackoffPolicy(max_attempts=12)
 
 #: Reference columns the verifier computes at a time.
 VERIFY_CHUNK = 64
@@ -377,7 +373,7 @@ async def run_load(
     *,
     pushes: int | None = None,
     chaos_seed: int | None = None,
-    chaos_config: ChaosScheduleConfig | None = None,
+    chaos_rate_scale: float = 1.0,
 ) -> LoadReport:
     """Drive ``sessions`` concurrent sessions, then verify their columns.
 
@@ -387,7 +383,8 @@ async def run_load(
     :class:`ResilientServeClient` (reconnect, resume, fleet migration)
     under the stable routing key ``load-<i>`` for exactly that many
     blocks, and ``chaos_seed`` gives it the seeded chaos plan
-    ``chaos_seed + i`` over them (the chaos and fleet runs).
+    ``chaos_seed + i`` over them (the chaos and fleet runs), drawn at
+    ``chaos_rate_scale`` times the default chaos rates.
 
     Raises:
         ValueError: ``sessions``, ``block_size`` or ``pushes`` is below
@@ -407,9 +404,7 @@ async def run_load(
         None
         if chaos_seed is None
         else ClientChaos(
-            ChaosSchedule.generate(
-                chaos_config or ChaosScheduleConfig(), pushes, chaos_seed + i
-            ),
+            ChaosSchedule.generate(pushes, chaos_seed + i, chaos_rate_scale),
             seed=chaos_seed + i,
         )
         for i in range(sessions)
@@ -421,7 +416,6 @@ async def run_load(
             port,
             session_config=config,
             chaos=plans[i],
-            backoff=BACKOFF,
             seed=seed + i,
             routing_key=f"load-{i}",
         )

@@ -41,13 +41,13 @@ columns served across a killed-and-resumed connection are
 ``np.array_equal`` to an uninterrupted run.
 
 **Bit-exactness over JSON.**  Bulk float arrays — samples and
-spectral columns — cross the wire in either of two encodings (packed
-base64 little-endian float64, or plain number lists), and the decoder
-accepts both.  The codec itself lives in :mod:`repro.encoding`, shared
-with the on-disk capture format (:mod:`repro.capture`), and is
-re-exported here unchanged — same wire format, same bit-exactness
-guarantees.  Either way the served-vs-offline ``np.array_equal``
-contract holds across the socket.
+spectral columns — cross the wire packed (base64 little-endian
+float64); the decoder also accepts plain number lists from clients.
+The codec itself lives in :mod:`repro.encoding`, shared with the
+on-disk capture format (:mod:`repro.capture`), and is re-exported here
+unchanged — same wire format, same bit-exactness guarantees.  Either
+way the served-vs-offline ``np.array_equal`` contract holds across the
+socket.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ from repro.encoding import (
     decode_samples,
     encode_samples,
     float_array_from_wire as _float_array_from_wire,
-    float_array_to_wire as _float_array_to_wire,
     pack_floats,
     unpack_floats,
 )
@@ -153,17 +152,13 @@ def require_field(frame: dict[str, Any], name: str) -> Any:
     return frame[name]
 
 
-def column_to_wire(
-    column: SpectrogramColumn, packed: bool = True
-) -> dict[str, Any]:
+def column_to_wire(column: SpectrogramColumn) -> dict[str, Any]:
     """One spectrogram column as its wire dict."""
     return {
         "index": column.index,
         "start_sample": column.start_sample,
         "time_s": column.time_s,
-        "power": _float_array_to_wire(
-            np.asarray(column.power, dtype=float), packed
-        ),
+        "power": pack_floats(np.asarray(column.power, dtype=float)),
         "num_sources": int(column.num_sources),
         "estimator": column.estimator,
     }
@@ -186,12 +181,10 @@ def column_from_wire(payload: dict[str, Any]) -> SpectrogramColumn:
         raise ProtocolError(f"malformed column payload: {exc}") from None
 
 
-def tracker_checkpoint_to_wire(
-    checkpoint: TrackerCheckpoint, packed: bool = True
-) -> dict[str, Any]:
+def tracker_checkpoint_to_wire(checkpoint: TrackerCheckpoint) -> dict[str, Any]:
     """A :class:`TrackerCheckpoint` as its wire dict (bit-exact)."""
     return {
-        "buffered": encode_samples(checkpoint.buffered, packed),
+        "buffered": encode_samples(checkpoint.buffered),
         "next_start": int(checkpoint.next_start),
         "column_index": int(checkpoint.column_index),
         "samples_seen": int(checkpoint.samples_seen),

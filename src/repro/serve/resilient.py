@@ -5,7 +5,8 @@ AsyncServeClient` with the full recovery loop the chaos harness
 exercises:
 
 * **Reconnect with backoff** — every connection loss (injected or
-  real) triggers :class:`BackoffPolicy`-paced reconnection attempts
+  real) triggers reconnection attempts paced by exponential backoff
+  (:data:`BACKOFF_INITIAL_S` doubling up to :data:`BACKOFF_MAX_S`)
   with seeded jitter, so two runs of the same seed back off
   identically.
 * **Session resume** — sessions open ``resumable=True``; every push
@@ -56,32 +57,24 @@ SLOW_LORIS_CHUNK_BYTES = 64
 SHED_RETRY_LIMIT = 200
 
 
-@dataclass(frozen=True)
-class BackoffPolicy:
-    """Exponential backoff with seeded jitter for reconnect attempts."""
+#: Connection attempts per recovery: about 8.5 s of backoff before a
+#: session gives up on a server or shard.
+RECONNECT_ATTEMPTS = 12
+#: Delay before the first reconnect attempt.
+BACKOFF_INITIAL_S = 0.05
+#: Growth of the delay per attempt.
+BACKOFF_MULTIPLIER = 2.0
+#: Longest delay between two attempts.
+BACKOFF_MAX_S = 1.0
+#: Relative jitter on each delay: a seeded uniform factor in
+#: ``1 ± BACKOFF_JITTER``.
+BACKOFF_JITTER = 0.1
 
-    initial_s: float = 0.05
-    multiplier: float = 2.0
-    max_s: float = 1.0
-    jitter: float = 0.1
-    max_attempts: int = 8
 
-    def __post_init__(self) -> None:
-        if self.initial_s <= 0 or self.max_s <= 0:
-            raise ValueError("backoff delays must be positive")
-        if self.multiplier < 1.0:
-            raise ValueError("backoff multiplier must be >= 1")
-        if not 0 <= self.jitter < 1:
-            raise ValueError("backoff jitter must be in [0, 1)")
-        if self.max_attempts < 1:
-            raise ValueError("backoff must allow at least one attempt")
-
-    def delay_s(self, attempt: int, rng: np.random.Generator) -> float:
-        """Delay before reconnect ``attempt`` (0-based), jittered."""
-        base = min(self.initial_s * self.multiplier**attempt, self.max_s)
-        if self.jitter > 0:
-            base *= 1.0 + self.jitter * float(rng.uniform(-1.0, 1.0))
-        return max(base, 0.0)
+def _backoff_delay_s(attempt: int, rng: np.random.Generator) -> float:
+    """Delay before reconnect ``attempt`` (0-based), jittered."""
+    base = min(BACKOFF_INITIAL_S * BACKOFF_MULTIPLIER**attempt, BACKOFF_MAX_S)
+    return base * (1.0 + BACKOFF_JITTER * float(rng.uniform(-1.0, 1.0)))
 
 
 @dataclass
@@ -113,7 +106,6 @@ class ResilientServeClient:
         use_music: bool = True,
         start_time_s: float = 0.0,
         chaos: ClientChaos | None = None,
-        backoff: BackoffPolicy | None = None,
         seed: int = 0,
         routing_key: str | None = None,
     ):
@@ -127,7 +119,6 @@ class ResilientServeClient:
         #: re-hashes deterministically).
         self.routing_key = routing_key
         self.chaos = chaos
-        self.backoff = backoff if backoff is not None else BackoffPolicy()
         # Backoff jitter comes from its own child stream so it never
         # perturbs the chaos plan's draws.
         self._backoff_rng = np.random.default_rng([int(seed), 1_000_003])
@@ -159,7 +150,7 @@ class ResilientServeClient:
 
     async def close_session(self) -> dict[str, Any]:
         """Close the session (with recovery) and return its report."""
-        for attempt in range(self.backoff.max_attempts):
+        for attempt in range(RECONNECT_ATTEMPTS):
             try:
                 if self._client is None or not self._client.connected:
                     await self._reconnect(resume=True)
@@ -192,9 +183,9 @@ class ResilientServeClient:
         if self._recovery_started is None and resume:
             self._recovery_started = time.perf_counter()
         last_error: Exception | None = None
-        for attempt in range(self.backoff.max_attempts):
+        for attempt in range(RECONNECT_ATTEMPTS):
             if attempt > 0 or resume:
-                await asyncio.sleep(self.backoff.delay_s(attempt, self._backoff_rng))
+                await asyncio.sleep(_backoff_delay_s(attempt, self._backoff_rng))
             await self._drop_connection()
             client = AsyncServeClient(self.host, self.port)
             client.stats = self.wire_stats
@@ -228,7 +219,7 @@ class ResilientServeClient:
                     self.stats.resumes += 1
             return
         raise ConnectionError(
-            f"could not reconnect after {self.backoff.max_attempts} attempts"
+            f"could not reconnect after {RECONNECT_ATTEMPTS} attempts"
         ) from last_error
 
     # ------------------------------------------------------------------

@@ -59,6 +59,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Batch-occupancy histogram edges (windows per tick).
 OCCUPANCY_BUCKETS: tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
+#: Windows waiting longer than this with no tick completing trip the
+#: watchdog, which degrades to per-session serial DSP compute (one
+#: window per pass) until batch ticks resume: the device's degraded
+#: mode applied to the scheduler.  The watchdog shares the event
+#: loop, so it covers ticks stalled *at an await* (injected chaos
+#: stalls, wakeup bugs); a tick stalled inside a blocking numpy call
+#: stalls the whole loop and no in-process watchdog can help.
+WATCHDOG_TIMEOUT_S = 2.0
+
 
 @dataclass(frozen=True)
 class SchedulerConfig:
@@ -70,20 +79,13 @@ class SchedulerConfig:
             load benchmark compares against).
         queue_capacity: admission bound — total windows that may wait
             across all sessions before pushes are shed.
-        watchdog_timeout_s: windows waiting longer than this with no
-            tick completing trip the watchdog, which degrades to
-            per-session serial DSP compute (one window per pass) until
-            batch ticks resume — the PR-1 degraded-mode philosophy
-            applied to the scheduler.  ``None`` disables the watchdog.
-            The watchdog shares the event loop, so it covers ticks
-            stalled *at an await* (injected chaos stalls, wakeup bugs);
-            a tick stalled inside a blocking numpy call stalls the
-            whole loop and no in-process watchdog can help.
+
+    The watchdog is always on; its timeout is
+    :data:`WATCHDOG_TIMEOUT_S`.
     """
 
     max_batch_windows: int = 64
     queue_capacity: int = 512
-    watchdog_timeout_s: float | None = 2.0
 
     def __post_init__(self) -> None:
         if self.max_batch_windows < 1:
@@ -93,8 +95,6 @@ class SchedulerConfig:
                 f"queue_capacity must hold at least one full batch of "
                 f"{self.max_batch_windows} windows, got {self.queue_capacity}"
             )
-        if self.watchdog_timeout_s is not None and self.watchdog_timeout_s <= 0:
-            raise ValueError("watchdog_timeout_s must be positive (or None)")
 
 
 @dataclass
@@ -153,7 +153,7 @@ class MicroBatchScheduler:
         self._wakeup = asyncio.Event()
         self._task: asyncio.Task | None = None
         self._watchdog_task: asyncio.Task | None = None
-        self._watchdog_stop: asyncio.Event | None = None
+        self._watchdog_stop = asyncio.Event()
         self._last_progress = 0.0
         self._draining = False
 
@@ -176,11 +176,10 @@ class MicroBatchScheduler:
         self._draining = False
         self._last_progress = time.monotonic()
         self._task = asyncio.create_task(self._run(), name="serve-scheduler")
-        if self.config.watchdog_timeout_s is not None:
-            self._watchdog_stop = asyncio.Event()
-            self._watchdog_task = asyncio.create_task(
-                self._watchdog(), name="serve-scheduler-watchdog"
-            )
+        self._watchdog_stop.clear()
+        self._watchdog_task = asyncio.create_task(
+            self._watchdog(), name="serve-scheduler-watchdog"
+        )
 
     async def drain(self) -> None:
         """Graceful shutdown: refuse new work, finish everything queued.
@@ -199,7 +198,6 @@ class MicroBatchScheduler:
             self._watchdog_stop.set()
             await self._watchdog_task
             self._watchdog_task = None
-            self._watchdog_stop = None
 
     # ------------------------------------------------------------------
     # Admission
@@ -377,11 +375,11 @@ class MicroBatchScheduler:
     async def _watchdog(self) -> None:
         """Degrade to serial compute when batch ticks stall.
 
-        Fires when windows sit queued past ``watchdog_timeout_s`` with
-        no tick completing — a stalled tick loop (chaos stall, a bug
-        holding the wakeup) would otherwise wedge every waiting push.
+        Fires when windows sit queued past :data:`WATCHDOG_TIMEOUT_S`
+        with no tick completing — a stalled tick loop (chaos stall, a
+        bug holding the wakeup) would otherwise wedge every waiting push.
         """
-        timeout = self.config.watchdog_timeout_s
+        timeout = WATCHDOG_TIMEOUT_S
         poll = min(timeout / 4.0, 0.05)
         while True:
             try:

@@ -459,10 +459,22 @@ class SensingServer:
     async def _handle_frame(
         self, frame: dict[str, Any], owned: dict[str, ServeSession]
     ) -> dict[str, Any]:
-        """Answer one request frame; errors become error frames."""
+        """Answer one request frame; errors become error frames.
+
+        A ``telemetry_snapshot`` is answered outside request accounting:
+        it is the fleet supervisor's probe, not client traffic.
+        """
         kind = frame["type"]
         session_id = frame.get("session")
         seq = frame.get("seq")
+        if kind == protocol.TELEMETRY_SNAPSHOT:
+            try:
+                return self._telemetry_snapshot_reply()
+            except Exception as exc:  # noqa: BLE001 - a bug must not kill the connection
+                self._count_error()
+                return protocol.error_frame(
+                    ReproError(f"internal error: {exc}"), session=session_id, seq=seq
+                )
         self.stats.requests += 1
         start = time.perf_counter()
         telemetry = get_telemetry()
@@ -472,8 +484,6 @@ class SensingServer:
                     reply: dict[str, Any] = {"type": protocol.PONG}
                 elif kind == protocol.SERVER_STATS:
                     reply = self._stats_reply()
-                elif kind == protocol.TELEMETRY_SNAPSHOT:
-                    reply = self._telemetry_snapshot_reply()
                 elif kind == protocol.OPEN_SESSION:
                     reply = self._open_session(frame, owned)
                 elif kind == protocol.PUSH_BLOCKS:

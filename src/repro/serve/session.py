@@ -262,8 +262,9 @@ class ServeSession:
         A served session has no radio to re-run Algorithm 1 on, so a
         machine that asks for RECALIBRATING cannot be obliged: each
         *bad* block that lands in that state counts as a failed
-        recalibration, and the policy's failure budget walks the
-        session to FAILED instead of parking a faulty stream forever.
+        recalibration, and the failure budget
+        (:data:`~repro.core.monitoring.MAX_RECALIBRATION_FAILURES`) walks
+        the session to FAILED instead of parking a faulty stream forever.
         Clean blocks are not failures — a transient burst leaves the
         session degraded but alive.
 

@@ -10,7 +10,6 @@ import pytest
 
 from repro.capture import (
     CaptureReader,
-    CaptureStore,
     promote_to_fixture,
     recorded_columns,
     replay_columns,
@@ -22,9 +21,7 @@ from repro.capture import (
 from repro.capture.recorder import EVENT_COLUMN, EVENT_GAP, EVENT_HEALTH
 from repro.core.tracking import TrackingConfig
 from repro.errors import CaptureFormatError, CaptureIntegrityError
-from repro.serve import AsyncServeClient, SensingServer, ServeConfig
-
-from tests.helpers import FAST
+from repro.serve import SensingServer, ServeConfig
 
 
 class TestOfflineReplay:
@@ -134,26 +131,6 @@ class TestFixturePromotion:
         assert not (tmp_path / "fx").exists()
 
 
-async def _stream_recorded_session(config, trace, block_size, record_dir):
-    server = SensingServer(ServeConfig(record_dir=str(record_dir)))
-    port = await server.start()
-    try:
-        client = AsyncServeClient("127.0.0.1", port)
-        await client.connect()
-        try:
-            await client.open_session(config=config)
-            columns = []
-            for offset in range(0, len(trace), block_size):
-                reply = await client.push(trace[offset : offset + block_size])
-                columns.extend(reply.columns)
-            await client.close_session()
-            return columns
-        finally:
-            await client.aclose()
-    finally:
-        await server.shutdown()
-
-
 async def _replay_against_fresh_server(reader):
     server = SensingServer(ServeConfig())
     port = await server.start()
@@ -164,31 +141,6 @@ async def _replay_against_fresh_server(reader):
 
 
 class TestServeReplay:
-    def test_recorded_session_replays_offline_and_live(self, tmp_path, make_trace):
-        record_dir = tmp_path / "serve-captures"
-        trace = make_trace()
-        served = asyncio.run(
-            _stream_recorded_session(FAST, trace, block_size=96,
-                                     record_dir=record_dir)
-        )
-        assert served, "serve session emitted no columns"
-
-        store = CaptureStore(record_dir)
-        (info,) = store.list_captures(audit=False)
-        assert info.sealed and info.source == "serve"
-        reader = store.open(info.capture_id)
-
-        offline = verify_capture(reader)
-        assert offline.ok, offline.mismatches
-        assert offline.num_columns == len(served)
-
-        live = asyncio.run(_replay_against_fresh_server(reader))
-        assert len(live) == len(served)
-        for original, replay in zip(served, live):
-            assert np.array_equal(
-                np.asarray(original.power), np.asarray(replay.power)
-            )
-
     def test_gapped_capture_refuses_serve_replay(self, store, record, make_trace, fast_config):
         capture_id, result = record(
             make_trace(1600), fast_config,

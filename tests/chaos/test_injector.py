@@ -8,7 +8,6 @@ from repro.chaos import (
     ChaosEvent,
     ChaosKind,
     ChaosSchedule,
-    ChaosScheduleConfig,
     ClientChaos,
     ServerChaos,
 )
@@ -17,9 +16,7 @@ from repro.serve import protocol
 
 
 def _client_chaos(seed=7, horizon=100, rate_scale=2.0):
-    schedule = ChaosSchedule.generate(
-        ChaosScheduleConfig(rate_scale=rate_scale), horizon, seed
-    )
+    schedule = ChaosSchedule.generate(horizon, seed, rate_scale=rate_scale)
     return ClientChaos(schedule, seed=seed)
 
 
@@ -105,12 +102,12 @@ class TestServerChaos:
         )
 
     def test_applies_only_at_scheduled_ops(self):
-        chaos = ServerChaos(self._schedule(), wrap=False)
+        chaos = ServerChaos(self._schedule())
 
         async def run():
-            for _ in range(6):
+            for _ in range(3):  # one horizon
                 await chaos.before_tick()
-            for _ in range(6):
+            for _ in range(3):
                 await chaos.before_reply()
 
         asyncio.run(run())
@@ -120,7 +117,7 @@ class TestServerChaos:
         assert [e.op_index for e in replies] == [0]
 
     def test_wrap_reapplies_the_schedule_modulo_horizon(self):
-        chaos = ServerChaos(self._schedule(), wrap=True)
+        chaos = ServerChaos(self._schedule())
 
         async def run():
             for _ in range(6):

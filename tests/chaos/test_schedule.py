@@ -1,4 +1,4 @@
-"""Chaos schedules: determinism, kind partition, config validation."""
+"""Chaos schedules: determinism, kind partition, rate validation."""
 
 import numpy as np
 import pytest
@@ -10,9 +10,9 @@ from repro.chaos import (
     ChaosEvent,
     ChaosKind,
     ChaosSchedule,
-    ChaosScheduleConfig,
     scheduled_chaos_count,
 )
+from repro.chaos import schedule as schedule_module
 
 
 class TestTaxonomy:
@@ -28,61 +28,44 @@ class TestTaxonomy:
 class TestConfig:
     def test_rejects_negative_rates(self):
         with pytest.raises(ValueError, match="non-negative"):
-            ChaosScheduleConfig(disconnect_rate=-1.0)
+            scheduled_chaos_count(horizon_ops=10, rate_scale=-0.5)
         with pytest.raises(ValueError, match="non-negative"):
-            ChaosScheduleConfig(rate_scale=-0.5)
-
-    def test_rejects_degenerate_truncate_fractions(self):
-        with pytest.raises(ValueError, match="truncate"):
-            ChaosScheduleConfig(truncate_min_fraction=0.0)
-        with pytest.raises(ValueError, match="truncate"):
-            ChaosScheduleConfig(
-                truncate_min_fraction=0.8, truncate_max_fraction=0.2
-            )
+            ChaosSchedule.generate(horizon_ops=10, seed=1, rate_scale=-0.5)
 
     def test_rate_scale_multiplies_every_kind(self):
-        base = ChaosScheduleConfig()
-        doubled = ChaosScheduleConfig(rate_scale=2.0)
+        base = schedule_module._chaos_rates()
+        doubled = schedule_module._chaos_rates(rate_scale=2.0)
         for kind in ChaosKind:
-            assert doubled.rates()[kind] == 2 * base.rates()[kind]
+            assert doubled[kind] == 2 * base[kind]
 
 
 class TestGenerate:
     def test_same_seed_is_bit_identical(self):
-        config = ChaosScheduleConfig()
-        a = ChaosSchedule.generate(config, horizon_ops=200, seed=7)
-        b = ChaosSchedule.generate(config, horizon_ops=200, seed=7)
+        a = ChaosSchedule.generate(horizon_ops=200, seed=7)
+        b = ChaosSchedule.generate(horizon_ops=200, seed=7)
         assert a.events == b.events
 
     def test_different_seeds_differ(self):
-        config = ChaosScheduleConfig(rate_scale=3.0)
-        a = ChaosSchedule.generate(config, horizon_ops=200, seed=7)
-        b = ChaosSchedule.generate(config, horizon_ops=200, seed=8)
+        a = ChaosSchedule.generate(horizon_ops=200, seed=7, rate_scale=3.0)
+        b = ChaosSchedule.generate(horizon_ops=200, seed=8, rate_scale=3.0)
         assert a.events != b.events
 
     def test_events_sorted_and_inside_horizon(self):
-        schedule = ChaosSchedule.generate(
-            ChaosScheduleConfig(rate_scale=4.0), horizon_ops=50, seed=3
-        )
+        schedule = ChaosSchedule.generate(horizon_ops=50, seed=3, rate_scale=4.0)
         assert len(schedule) > 0
         keys = [(e.op_index, KIND_ORDER.index(e.kind)) for e in schedule.events]
         assert keys == sorted(keys)
         assert all(0 <= e.op_index < 50 for e in schedule.events)
 
     def test_zero_rates_yield_empty_schedule(self):
-        schedule = ChaosSchedule.generate(
-            ChaosScheduleConfig(rate_scale=0.0), horizon_ops=100, seed=1
-        )
+        schedule = ChaosSchedule.generate(horizon_ops=100, seed=1, rate_scale=0.0)
         assert len(schedule) == 0
 
-    def test_one_kind_does_not_perturb_another(self):
+    def test_one_kind_does_not_perturb_another(self, monkeypatch):
         """Child-generator seeding: muting one kind leaves the rest."""
-        full = ChaosSchedule.generate(
-            ChaosScheduleConfig(), horizon_ops=300, seed=11
-        )
-        muted = ChaosSchedule.generate(
-            ChaosScheduleConfig(disconnect_rate=0.0), horizon_ops=300, seed=11
-        )
+        full = ChaosSchedule.generate(horizon_ops=300, seed=11)
+        monkeypatch.setitem(schedule_module.CHAOS_RATES, ChaosKind.DISCONNECT, 0.0)
+        muted = ChaosSchedule.generate(horizon_ops=300, seed=11)
         survivors = [
             e for e in full.events if e.kind is not ChaosKind.DISCONNECT
         ]
@@ -90,16 +73,14 @@ class TestGenerate:
 
     def test_rejects_non_positive_horizon(self):
         with pytest.raises(ValueError, match="horizon"):
-            ChaosSchedule.generate(ChaosScheduleConfig(), horizon_ops=0, seed=1)
+            ChaosSchedule.generate(horizon_ops=0, seed=1)
 
     def test_expected_count_matches_poisson_mean(self):
-        config = ChaosScheduleConfig()
-        expected = scheduled_chaos_count(config, horizon_ops=1000)
+        expected = scheduled_chaos_count(horizon_ops=1000)
         counts = [
-            len(ChaosSchedule.generate(config, horizon_ops=1000, seed=s))
-            for s in range(20)
+            len(ChaosSchedule.generate(horizon_ops=1000, seed=s)) for s in range(20)
         ]
-        assert expected == pytest.approx(sum(config.rates().values()) * 10)
+        assert expected == pytest.approx(sum(schedule_module.CHAOS_RATES.values()) * 10)
         assert np.mean(counts) == pytest.approx(expected, rel=0.25)
 
 

@@ -12,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.chaos import ChaosScheduleConfig
 from repro.serve import SensingServer, ServeConfig, run_load
 
 from tests.helpers import FAST
@@ -34,7 +33,7 @@ def _soak(chaos_seed=7, rate_scale=1.5):
                 pushes=8,
                 block_size=120,
                 chaos_seed=chaos_seed,
-                chaos_config=ChaosScheduleConfig(rate_scale=rate_scale),
+                chaos_rate_scale=rate_scale,
                 config=FAST,
             )
         finally:

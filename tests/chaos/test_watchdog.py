@@ -13,9 +13,16 @@ import pytest
 from repro.chaos import ChaosEvent, ChaosKind, ChaosSchedule, ServerChaos
 from repro.core.tracking import TrackingConfig, compute_spectrogram_frame
 from repro.runtime.tracker import PendingWindow
-from repro.serve.scheduler import MicroBatchScheduler, SchedulerConfig
+from repro.serve import scheduler as scheduler_module
+from repro.serve.scheduler import MicroBatchScheduler
 
 CONFIG = TrackingConfig(window_size=64, hop=16, subarray_size=24)
+
+
+@pytest.fixture(autouse=True)
+def short_watchdog(monkeypatch):
+    """A 50 ms watchdog, so a stalled tick trips it within the test."""
+    monkeypatch.setattr(scheduler_module, "WATCHDOG_TIMEOUT_S", 0.05)
 
 
 def _pending(rng, index=0):
@@ -46,23 +53,12 @@ class _StallForever:
         return None
 
 
-class TestConfig:
-    def test_rejects_non_positive_watchdog_timeout(self):
-        with pytest.raises(ValueError, match="watchdog"):
-            SchedulerConfig(watchdog_timeout_s=0.0)
-        # None disables the watchdog entirely.
-        assert SchedulerConfig(watchdog_timeout_s=None).watchdog_timeout_s is None
-
-
 class TestWatchdog:
     def test_stalled_tick_degrades_to_serial_and_stays_bit_exact(self, rng):
         pendings = [_pending(rng, index=i) for i in range(4)]
 
         async def run():
-            scheduler = MicroBatchScheduler(
-                SchedulerConfig(watchdog_timeout_s=0.05),
-                chaos=_StallForever(0.6),
-            )
+            scheduler = MicroBatchScheduler(chaos=_StallForever(0.6))
             scheduler.start()
             # Let the loop reach the chaos stall before submitting, so
             # the windows genuinely sit queued behind a stalled tick.
@@ -89,13 +85,11 @@ class TestWatchdog:
             ),
             horizon_ops=8,
         )
-        chaos = ServerChaos(schedule, wrap=True)
+        chaos = ServerChaos(schedule)
         pendings = [_pending(rng, index=i) for i in range(3)]
 
         async def run():
-            scheduler = MicroBatchScheduler(
-                SchedulerConfig(watchdog_timeout_s=0.05), chaos=chaos
-            )
+            scheduler = MicroBatchScheduler(chaos=chaos)
             scheduler.start()
             await asyncio.sleep(0.01)
             futures = [scheduler.submit(CONFIG, True, p) for p in pendings]
@@ -110,9 +104,7 @@ class TestWatchdog:
 
     def test_quiet_scheduler_never_activates_watchdog(self, rng):
         async def run():
-            scheduler = MicroBatchScheduler(
-                SchedulerConfig(watchdog_timeout_s=0.05)
-            )
+            scheduler = MicroBatchScheduler()
             scheduler.start()
             frame = await scheduler.submit(CONFIG, True, _pending(rng))
             # Idle well past the timeout: idleness is not a stall.

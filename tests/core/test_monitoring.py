@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core import monitoring
 from repro.core.monitoring import (
     AutoCalibratingDevice,
     DeviceHealth,
     HealthStateMachine,
     NullingMonitor,
-    RecoveryPolicy,
     dc_level,
     sanitize_series,
     screen_series,
@@ -42,7 +42,7 @@ def test_dc_level_measures_residual():
 
 
 def test_monitor_flags_erosion():
-    monitor = NullingMonitor(erosion_budget_db=10.0)
+    monitor = NullingMonitor()  # a 10 dB budget
     monitor.set_baseline(make_series(dc=1e-5))
     # 6 dB growth: fine.  20 dB growth: recalibrate.
     assert not monitor.needs_recalibration(make_series(dc=2e-5, seed=1))
@@ -54,11 +54,6 @@ def test_monitor_requires_baseline():
     monitor = NullingMonitor()
     with pytest.raises(RuntimeError):
         monitor.erosion_db(make_series(dc=1e-5))
-
-
-def test_monitor_validation():
-    with pytest.raises(ValueError):
-        NullingMonitor(erosion_budget_db=0.0)
 
 
 def test_auto_device_calibrates_lazily(rng):
@@ -73,10 +68,11 @@ def test_auto_device_calibrates_lazily(rng):
 
 
 def test_auto_device_recalibrates_on_drift(rng, monkeypatch):
+    monkeypatch.setattr(monitoring, "EROSION_BUDGET_DB", 6.0)
     room = stata_conference_room_small()
     scene = Scene(room=room)
     device = WiViDevice(scene, rng)
-    auto = AutoCalibratingDevice(device, NullingMonitor(erosion_budget_db=6.0))
+    auto = AutoCalibratingDevice(device)
     first = auto.capture(1.0)
     assert auto.recalibration_count == 0
 
@@ -108,7 +104,7 @@ def test_auto_device_recalibrates_on_drift(rng, monkeypatch):
 def test_monitor_zero_baseline_does_not_blow_up():
     """A perfect null (DC exactly zero) clamps rather than dividing by
     zero; any later finite residual reads as massive erosion."""
-    monitor = NullingMonitor(erosion_budget_db=10.0)
+    monitor = NullingMonitor()
     monitor.set_baseline(make_series(dc=0.0, noise_sigma=0.0))
     assert monitor.baseline_level == 1e-30
     erosion = monitor.erosion_db(make_series(dc=1e-6, noise_sigma=0.0))
@@ -123,10 +119,11 @@ def test_monitor_near_zero_baseline_is_finite():
     assert erosion == pytest.approx(0.0, abs=1e-6)
 
 
-def test_monitor_erosion_exactly_at_budget_does_not_trip():
-    """The budget is a strict bound: exactly 10 dB of erosion is still
-    within contract; only beyond it triggers recalibration."""
-    monitor = NullingMonitor(erosion_budget_db=20.0)
+def test_monitor_erosion_exactly_at_budget_does_not_trip(monkeypatch):
+    """The budget is a strict bound: erosion exactly at the budget is
+    still within contract; only beyond it triggers recalibration."""
+    monkeypatch.setattr(monitoring, "EROSION_BUDGET_DB", 20.0)
+    monitor = NullingMonitor()
     monitor.set_baseline(make_series(dc=1.0, noise_sigma=0.0))
     # A 10x residual is exactly +20 dB, representable without rounding.
     at_budget = make_series(dc=10.0, noise_sigma=0.0)
@@ -212,18 +209,14 @@ def test_sanitize_rejects_hopeless_capture():
 # ----------------------------------------------------------------------
 
 
-def make_machine(**kwargs):
-    return HealthStateMachine(RecoveryPolicy(**kwargs))
-
-
 def test_machine_starts_healthy():
-    machine = make_machine()
+    machine = HealthStateMachine()
     assert machine.state is DeviceHealth.HEALTHY
     assert machine.state_sequence() == [DeviceHealth.HEALTHY]
 
 
 def test_machine_degrades_then_recovers_with_hysteresis():
-    machine = make_machine(recover_after_good=2)
+    machine = HealthStateMachine()  # two clean captures recover
     machine.record_bad("nan burst")
     assert machine.state is DeviceHealth.DEGRADED
     machine.record_good()
@@ -234,7 +227,7 @@ def test_machine_degrades_then_recovers_with_hysteresis():
 
 
 def test_machine_escalates_to_recalibrating():
-    machine = make_machine(recalibrate_after_bad=2)
+    machine = HealthStateMachine()  # two bad captures escalate
     machine.record_bad("storm")
     machine.record_bad("storm")
     assert machine.state is DeviceHealth.RECALIBRATING
@@ -244,7 +237,7 @@ def test_machine_escalates_to_recalibrating():
 
 
 def test_machine_good_captures_reset_bad_streak():
-    machine = make_machine(recalibrate_after_bad=2, recover_after_good=5)
+    machine = HealthStateMachine()
     machine.record_bad("x")
     machine.record_good()
     machine.record_bad("x")
@@ -253,7 +246,7 @@ def test_machine_good_captures_reset_bad_streak():
 
 
 def test_machine_fails_after_repeated_recalibration_failures():
-    machine = make_machine(max_recalibration_failures=2)
+    machine = HealthStateMachine()  # the second failure fails
     machine.demand_recalibration("erosion")
     machine.recalibration_failed("no convergence")
     assert machine.state is DeviceHealth.RECALIBRATING
@@ -264,7 +257,7 @@ def test_machine_fails_after_repeated_recalibration_failures():
 
 
 def test_machine_transition_log_reasons():
-    machine = make_machine()
+    machine = HealthStateMachine()
     machine.record_bad("nan burst")
     machine.demand_recalibration("erosion over budget")
     assert [t.target for t in machine.transitions] == [
@@ -274,11 +267,3 @@ def test_machine_transition_log_reasons():
     assert "nan burst" in machine.transitions[0].reason
     assert machine.state_sequence()[0] is DeviceHealth.HEALTHY
 
-
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        RecoveryPolicy(max_repairable_fraction=1.5)
-    with pytest.raises(ValueError):
-        RecoveryPolicy(recover_after_good=0)
-    with pytest.raises(ValueError):
-        RecoveryPolicy(max_saturation_fraction=0.0)

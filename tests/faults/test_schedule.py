@@ -3,60 +3,81 @@
 import numpy as np
 import pytest
 
-from repro.faults import FaultEvent, FaultKind, FaultSchedule, FaultScheduleConfig
+from repro.capture import CaptureReader
+from repro.capture.recorder import EVENT_FAULT_SCHEDULE
+from repro.capture.replayer import DEFAULT_FIXTURE_DIR
+from repro.faults import FaultEvent, FaultKind, FaultSchedule
+from repro.faults import schedule as schedule_module
 from repro.faults.schedule import scheduled_fault_count
+
+#: A committed capture recorded with ``repro record --inject-faults
+#: --fault-seed 0`` at 2964878: its ``fault_schedule`` event is the
+#: schedule that commit drew (seed 0, 6.0 s, 4 events).
+PINNED_CAPTURE = DEFAULT_FIXTURE_DIR / "cap-1786127260182-000.capture.ndjson.gz"
+
+
+def _scale_rates(monkeypatch, factor):
+    """Multiply every kind's arrival rate by ``factor`` for one test."""
+    for kind, rate in list(schedule_module.FAULT_RATES_HZ.items()):
+        monkeypatch.setitem(schedule_module.FAULT_RATES_HZ, kind, rate * factor)
 
 
 def test_same_seed_identical_schedule():
-    config = FaultScheduleConfig()
-    a = FaultSchedule.generate(config, duration_s=60.0, seed=42)
-    b = FaultSchedule.generate(config, duration_s=60.0, seed=42)
+    a = FaultSchedule.generate(duration_s=60.0, seed=42)
+    b = FaultSchedule.generate(duration_s=60.0, seed=42)
     assert a.events == b.events
     assert a.describe() == b.describe()
 
 
-def test_different_seeds_differ():
-    config = FaultScheduleConfig(rate_scale=4.0)
-    a = FaultSchedule.generate(config, duration_s=60.0, seed=0)
-    b = FaultSchedule.generate(config, duration_s=60.0, seed=1)
+def test_schedule_matches_the_one_a_committed_capture_recorded():
+    """The fault rates and magnitudes still draw an older commit's schedule."""
+    (event,) = CaptureReader(PINNED_CAPTURE).events(EVENT_FAULT_SCHEDULE)
+    recorded = event["schedule"]
+    assert (recorded["seed"], recorded["duration_s"], len(recorded["events"])) == (0, 6.0, 4)
+    schedule = FaultSchedule.generate(recorded["duration_s"], seed=recorded["seed"])
+    assert [
+        {
+            "kind": e.kind.value,
+            "start_s": e.start_s,
+            "duration_s": e.duration_s,
+            "magnitude": e.magnitude,
+        }
+        for e in schedule.events
+    ] == recorded["events"]
+
+
+def test_different_seeds_differ(monkeypatch):
+    _scale_rates(monkeypatch, 4.0)
+    a = FaultSchedule.generate(duration_s=60.0, seed=0)
+    b = FaultSchedule.generate(duration_s=60.0, seed=1)
     assert a.events != b.events
 
 
-def test_one_kind_independent_of_others():
+def test_one_kind_independent_of_others(monkeypatch):
     """Silencing every other kind must not move one kind's events."""
-    full = FaultSchedule.generate(FaultScheduleConfig(), 120.0, seed=3)
-    only_nan = FaultSchedule.generate(
-        FaultScheduleConfig(
-            adc_saturation_rate_hz=0.0,
-            overflow_storm_rate_hz=0.0,
-            clock_jump_rate_hz=0.0,
-            gain_dropout_rate_hz=0.0,
-            channel_step_rate_hz=0.0,
-        ),
-        120.0,
-        seed=3,
-    )
+    full = FaultSchedule.generate(120.0, seed=3)
+    for kind in FaultKind:
+        if kind is not FaultKind.NAN_BURST:
+            monkeypatch.setitem(schedule_module.FAULT_RATES_HZ, kind, 0.0)
+    only_nan = FaultSchedule.generate(120.0, seed=3)
     full_nan = [e for e in full.events if e.kind is FaultKind.NAN_BURST]
     assert list(only_nan.events) == full_nan
 
 
-def test_events_sorted_and_within_span():
-    schedule = FaultSchedule.generate(
-        FaultScheduleConfig(rate_scale=5.0), 30.0, seed=9
-    )
+def test_events_sorted_and_within_span(monkeypatch):
+    _scale_rates(monkeypatch, 5.0)
+    schedule = FaultSchedule.generate(30.0, seed=9)
     assert len(schedule) > 0
     starts = [e.start_s for e in schedule.events]
     assert starts == sorted(starts)
     assert all(0.0 <= s < 30.0 for s in starts)
 
 
-def test_expected_count_matches_poisson_mean():
-    config = FaultScheduleConfig(rate_scale=2.0)
+def test_expected_count_matches_poisson_mean(monkeypatch):
+    _scale_rates(monkeypatch, 2.0)
     duration = 200.0
-    expected = scheduled_fault_count(config, duration)
-    counts = [
-        len(FaultSchedule.generate(config, duration, seed=s)) for s in range(20)
-    ]
+    expected = scheduled_fault_count(duration)
+    counts = [len(FaultSchedule.generate(duration, seed=s)) for s in range(20)]
     # 20 Poisson draws around the mean: loose 3-sigma-ish band.
     assert expected * 0.6 < np.mean(counts) < expected * 1.4
 
@@ -76,16 +97,10 @@ def test_events_between_half_open():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        FaultScheduleConfig(nan_burst_rate_hz=-1.0)
-    with pytest.raises(ValueError):
-        FaultScheduleConfig(rate_scale=-0.5)
-    with pytest.raises(ValueError):
-        FaultScheduleConfig(overflow_drop_fraction=0.0)
-    with pytest.raises(ValueError):
-        FaultSchedule.generate(FaultScheduleConfig(), 0.0, seed=0)
+        FaultSchedule.generate(0.0, seed=0)
 
 
-def test_zero_rates_give_empty_schedule():
-    config = FaultScheduleConfig(rate_scale=0.0)
-    schedule = FaultSchedule.generate(config, 100.0, seed=5)
+def test_zero_rates_give_empty_schedule(monkeypatch):
+    _scale_rates(monkeypatch, 0.0)
+    schedule = FaultSchedule.generate(100.0, seed=5)
     assert len(schedule) == 0

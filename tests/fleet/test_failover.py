@@ -18,7 +18,7 @@ from repro.errors import ShardDrainingError, WorkerCrashedError
 from repro.observe import ObserveGateway, TelemetryHub
 from repro.observe.prometheus import parse_exposition
 from repro.serve import AsyncServeClient, run_load
-from repro.serve.resilient import BackoffPolicy, ResilientServeClient
+from repro.serve.resilient import ResilientServeClient
 from repro.serve.session import config_from_wire
 
 from tests.fleet.test_frontend import running_fleet
@@ -58,7 +58,6 @@ def _stream_through(rng, disrupt, pushes=10, block_size=200):
                 "127.0.0.1",
                 fleet.port,
                 session_config=FAST,
-                backoff=BackoffPolicy(max_attempts=12),
                 routing_key=_key_on(fleet, "w0"),
             )
             await client.start()

@@ -110,7 +110,39 @@ class TestRouting:
                     await second.open_session(
                         config=FAST, routing_key=second_key
                     )
+                assert fleet.stats.shed_sessions == 1
                 await first.aclose()
+                await second.aclose()
+
+        asyncio.run(run())
+
+    def test_a_stale_probe_never_sheds_a_session_the_worker_admits(self):
+        async def run():
+            # No supervisor tick during the test: the cache holds
+            # exactly the probe taken below.
+            async with running_fleet(
+                workers=1, serve=ServeConfig(max_sessions=1), supervisor_interval_s=60.0
+            ) as fleet:
+                first = await _client(fleet)
+                await first.open_session(config=FAST)
+                await fleet._probe_live()
+                shard = fleet._shards["w0"]
+                assert shard.current("server.active_sessions") == 1
+                await first.aclose()
+                # The worker drops the session when the connection goes.
+                direct = AsyncServeClient("127.0.0.1", shard.handle.port)
+                await direct.connect()
+                for _ in range(200):
+                    if (await direct.server_stats())["active_sessions"] == 0:
+                        break
+                    await asyncio.sleep(0.01)
+                else:  # pragma: no cover - the worker never dropped it
+                    raise AssertionError("worker kept the closed session")
+                await direct.aclose()
+                assert shard.current("server.active_sessions") == 1  # still stale
+                second = await _client(fleet)
+                assert (await second.open_session(config=FAST)).startswith("w0:")
+                assert fleet.stats.shed_sessions == 0
                 await second.aclose()
 
         asyncio.run(run())
@@ -437,4 +469,6 @@ def test_worker_stats_visible_through_single_worker_fleet(rng):
 
     stats = asyncio.run(run())
     assert stats["server"]["columns_served"] > 0
+    # The open and the push; supervisor probes are not requests.
+    assert stats["server"]["requests"] == 2
     assert stats["shards"][0]["shard"] == "w0"

@@ -24,7 +24,6 @@ from repro.faults import (
     FaultInjector,
     FaultKind,
     FaultSchedule,
-    FaultScheduleConfig,
 )
 from repro.simulator.device import WiViDevice, WiViDeviceConfig
 
@@ -114,9 +113,7 @@ def test_channel_step_erodes_nulling_and_recalibration_absorbs_it(
 
 def run_default_rate_experiment(fault_seed, fast_tracking_config):
     device = walking_device(fast_tracking_config, seed=1)
-    schedule = FaultSchedule.generate(
-        FaultScheduleConfig(), duration_s=9.0, seed=fault_seed
-    )
+    schedule = FaultSchedule.generate(duration_s=9.0, seed=fault_seed)
     resilient = ResilientDevice(device, injector=FaultInjector(schedule))
     for _ in range(3):
         resilient.capture(1.0)

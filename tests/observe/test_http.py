@@ -5,6 +5,7 @@ import asyncio
 import pytest
 
 from repro.errors import ProtocolError
+from repro.observe import http
 from repro.observe.http import (
     MAX_LINE_BYTES,
     WS_BINARY,
@@ -158,10 +159,12 @@ class TestWsFrames:
 
         asyncio.run(run())
 
-    def test_oversized_frame_rejected(self):
+    def test_oversized_frame_rejected(self, monkeypatch):
+        monkeypatch.setattr(http, "MAX_WS_FRAME_BYTES", 1024)
+
         async def run():
             frame = encode_ws_frame(b"a" * 2048, opcode=WS_BINARY)
             with pytest.raises(ProtocolError):
-                await read_ws_frame(_reader_for(frame), max_bytes=1024)
+                await read_ws_frame(_reader_for(frame))
 
         asyncio.run(run())

@@ -4,6 +4,7 @@ import asyncio
 
 import pytest
 
+from repro.observe import hub as hub_module
 from repro.observe.hub import TelemetryHub
 from repro.telemetry import Telemetry
 from repro.telemetry.context import set_telemetry
@@ -47,10 +48,12 @@ class TestPublish:
 
 
 class TestSlowConsumers:
-    def test_full_queue_drops_are_counted(self):
+    def test_full_queue_drops_are_counted(self, monkeypatch):
+        monkeypatch.setattr(hub_module, "MAX_QUEUE", 2)
+
         async def run():
-            hub = TelemetryHub(shed_after_drops=1000)
-            sub = hub.subscribe(max_queue=2)
+            hub = TelemetryHub()
+            sub = hub.subscribe()
             for _ in range(5):
                 hub.publish("columns")
             assert sub.dropped == 3
@@ -60,14 +63,18 @@ class TestSlowConsumers:
 
         asyncio.run(run())
 
-    def test_shed_after_drop_budget_and_callback(self):
+    def test_shed_after_drop_budget_and_callback(self, monkeypatch):
+        monkeypatch.setattr(hub_module, "MAX_QUEUE", 1)
+        monkeypatch.setattr(hub_module, "SHED_AFTER_DROPS", 3)
+
         async def run():
             aborted = []
-            hub = TelemetryHub(shed_after_drops=3)
-            sub = hub.subscribe(max_queue=1, on_shed=lambda: aborted.append(True))
-            fast = hub.subscribe(max_queue=100)
+            hub = TelemetryHub()
+            sub = hub.subscribe(on_shed=lambda: aborted.append(True))
+            fast = hub.subscribe()
             for _ in range(4):  # 1 delivered + 3 dropped -> shed
                 hub.publish("columns")
+                await fast.get()  # the fast consumer keeps up
             assert sub.shed
             assert aborted == [True]
             assert hub.stats.subscribers_shed == 1
@@ -76,14 +83,17 @@ class TestSlowConsumers:
 
         asyncio.run(run())
 
-    def test_shed_callback_errors_never_reach_the_producer(self):
+    def test_shed_callback_errors_never_reach_the_producer(self, monkeypatch):
+        monkeypatch.setattr(hub_module, "MAX_QUEUE", 1)
+        monkeypatch.setattr(hub_module, "SHED_AFTER_DROPS", 1)
+
         async def run():
-            hub = TelemetryHub(shed_after_drops=1)
+            hub = TelemetryHub()
 
             def explode():
                 raise RuntimeError("broken transport")
 
-            hub.subscribe(max_queue=1, on_shed=explode)
+            hub.subscribe(on_shed=explode)
             hub.publish("a")
             hub.publish("b")  # drop -> shed -> callback raises, swallowed
             assert hub.stats.subscribers_shed == 1

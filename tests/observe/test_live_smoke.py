@@ -19,7 +19,7 @@ import socket
 
 import numpy as np
 
-from repro.chaos import ChaosScheduleConfig
+from repro.observe import hub as hub_module
 from repro.observe.wsclient import AsyncWebSocketClient, collect_live
 from repro.serve import AsyncServeClient, run_load
 from repro.serve.protocol import column_from_wire
@@ -86,7 +86,7 @@ class TestChaosUnderObservation:
                     pushes=8,
                     block_size=120,
                     chaos_seed=7,
-                    chaos_config=ChaosScheduleConfig(rate_scale=1.5),
+                    chaos_rate_scale=1.5,
                     config=FAST,
                 )
                 # The serve-side gate: chaos never corrupted a column.
@@ -108,11 +108,12 @@ class TestChaosUnderObservation:
 
 
 class TestSlowConsumerShed:
-    def test_stalled_subscriber_is_shed_and_serving_continues(self, rng):
+    def test_stalled_subscriber_is_shed_and_serving_continues(self, rng, monkeypatch):
+        monkeypatch.setattr(hub_module, "MAX_QUEUE", 4)
+        monkeypatch.setattr(hub_module, "SHED_AFTER_DROPS", 8)
+
         async def run():
-            async with running_stack(
-                interval_s=0.1, ws_max_queue=4, shed_after_drops=8
-            ) as (server, gateway):
+            async with running_stack(interval_s=0.1) as (server, gateway):
                 # A healthy consumer that keeps draining its feed.
                 healthy = asyncio.create_task(
                     collect_live("127.0.0.1", gateway.port, seconds=30.0,

@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.core.monitoring import DeviceHealth, RecoveryPolicy
+from repro.core.monitoring import DeviceHealth
 from repro.core.tracking import compute_spectrogram
+from repro.runtime import pipeline as pipeline_module
 from repro.runtime import (
     BlockSource,
     ColumnEvent,
     ConditionStage,
     DetectStage,
     DetectionEvent,
-    DetectorConfig,
     GapEvent,
     HealthEvent,
     SpectrogramColumn,
@@ -110,9 +110,9 @@ class TestHealthMidStream:
     ):
         samples = _trace(rng, num_samples=5 * 64)
         samples[10:20] = complex(np.nan, np.nan)  # damages block 0 only
-        policy = RecoveryPolicy(recover_after_good=2)
+        # Recovery needs two consecutive clean blocks (RECOVER_AFTER_GOOD).
         pipeline, _ = _pipeline(
-            samples, fast_tracking_config, condition=ConditionStage(policy)
+            samples, fast_tracking_config, condition=ConditionStage()
         )
         result = pipeline.run()
         states = [e.state for e in result.health_events]
@@ -131,9 +131,9 @@ class TestHealthMidStream:
         samples[:] = np.where(
             np.arange(len(samples)) % 3 == 0, complex(np.nan, np.nan), samples
         )
-        policy = RecoveryPolicy(recalibrate_after_bad=2)
+        # Two consecutive bad blocks escalate (RECALIBRATE_AFTER_BAD).
         pipeline, _ = _pipeline(
-            samples, fast_tracking_config, condition=ConditionStage(policy)
+            samples, fast_tracking_config, condition=ConditionStage()
         )
         result = pipeline.run()
         states = [e.state for e in result.health_events]
@@ -227,15 +227,15 @@ class TestDetectStage:
         power[np.abs(theta) < 3.0] = 1.0
         assert DetectStage().process(self._column(power), theta) is None
 
-    def test_threshold_suppresses_weak_peaks(self):
+    def test_threshold_suppresses_weak_peaks(self, monkeypatch):
+        monkeypatch.setattr(pipeline_module, "DETECT_THRESHOLD_DB", 10.0)
         theta = np.arange(-90.0, 91.0)
         power = np.full_like(theta, 1e-3)
         power[theta == 0.0] = 0.5
         power[theta == 40.0] = 1.0  # only 6 dB above DC
-        detector = DetectStage(DetectorConfig(threshold_db=10.0))
-        assert detector.process(self._column(power), theta) is None
+        assert DetectStage().process(self._column(power), theta) is None
 
     def test_degenerate_guard_rejected(self):
-        theta = np.arange(-90.0, 91.0)
+        theta = np.arange(-5.0, 6.0)  # every angle inside the DC guard
         with pytest.raises(ValueError, match="empty region"):
-            DetectStage(DetectorConfig(dc_guard_deg=500.0), theta_grid_deg=theta)
+            DetectStage(theta_grid_deg=theta)

@@ -80,10 +80,10 @@ class TestVerifier:
         encode = protocol.column_to_wire
         sent = {}
 
-        def replayed(column, packed=True):
+        def replayed(column):
             # Column 3 is lost; column 2 goes out a second time instead,
             # byte-identical to its first copy.
-            sent[column.index] = encode(column, packed)
+            sent[column.index] = encode(column)
             return sent[2] if column.index == 3 else sent[column.index]
 
         monkeypatch.setattr(protocol, "column_to_wire", replayed)
@@ -119,13 +119,13 @@ class TestVerifier:
     def test_one_perturbed_column_fails_the_run_and_the_cli(self, monkeypatch, capsys):
         encode = protocol.column_to_wire
 
-        def perturbed(column, packed=True):
+        def perturbed(column):
             # One ulp on column 2 of every session, and nothing else.
             if column.index == 2:
                 column = dataclasses.replace(
                     column, power=np.nextafter(column.power, np.inf)
                 )
-            return encode(column, packed)
+            return encode(column)
 
         monkeypatch.setattr(protocol, "column_to_wire", perturbed)
 

@@ -19,6 +19,13 @@ from repro.runtime.tracker import SpectrogramColumn
 from repro.serve import protocol
 
 
+
+def _as_sent(wire, packed):
+    """``wire`` as a client sends it: the packed string every encoder
+    writes, or the plain number list the decoder also accepts."""
+    return wire if packed else protocol.unpack_floats(wire).tolist()
+
+
 class TestFrames:
     def test_encode_decode_roundtrip(self):
         frame = {"type": "ping", "seq": 3, "nested": {"a": [1, 2.5]}}
@@ -78,7 +85,8 @@ class TestTrackerCheckpointWire:
             start_time_s=0.5,
             use_music=True,
         )
-        wire = protocol.tracker_checkpoint_to_wire(checkpoint, packed=packed)
+        wire = protocol.tracker_checkpoint_to_wire(checkpoint)
+        wire["buffered"] = _as_sent(wire["buffered"], packed)
         back = protocol.tracker_checkpoint_from_wire(wire)
         assert np.array_equal(back.buffered, checkpoint.buffered, equal_nan=True)
         assert back.next_start == checkpoint.next_start
@@ -100,8 +108,9 @@ class TestSamples:
     @pytest.mark.parametrize("packed", [True, False])
     def test_complex_roundtrip_is_bit_exact(self, rng, packed):
         samples = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        wire = protocol.encode_samples(samples, packed=packed)
-        assert isinstance(wire, str if packed else list)
+        wire = protocol.encode_samples(samples)
+        assert isinstance(wire, str)  # the encoders always pack
+        wire = _as_sent(wire, packed)
         # Through actual JSON text, exactly as the socket carries it.
         frame = protocol.decode_frame(
             protocol.encode_frame({"type": "push_blocks", "samples": wire})
@@ -119,7 +128,7 @@ class TestSamples:
             protocol.encode_frame(
                 {
                     "type": "x",
-                    "samples": protocol.encode_samples(samples, packed=packed),
+                    "samples": _as_sent(protocol.encode_samples(samples), packed),
                 }
             )
         )
@@ -162,11 +171,9 @@ class TestColumns:
             num_sources=2,
             estimator="music",
         )
-        frame = protocol.decode_frame(
-            protocol.encode_frame(
-                {"type": "c", "col": protocol.column_to_wire(column, packed=packed)}
-            )
-        )
+        wire = protocol.column_to_wire(column)
+        wire["power"] = _as_sent(wire["power"], packed)
+        frame = protocol.decode_frame(protocol.encode_frame({"type": "c", "col": wire}))
         back = protocol.column_from_wire(frame["col"])
         assert back.index == column.index
         assert back.start_sample == column.start_sample

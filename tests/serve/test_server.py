@@ -259,6 +259,29 @@ class TestProtocolErrors:
 
         asyncio.run(run())
 
+    def test_failing_probe_answers_an_error_and_connection_survives(self, monkeypatch):
+        """A ``telemetry_snapshot`` is not a request, but a bug in its
+        reply still becomes an error frame, not a dropped connection."""
+
+        def broken(self):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(SensingServer, "_telemetry_snapshot_reply", broken)
+
+        async def run():
+            async with running_server() as server:
+                client = await _client(server)
+                with pytest.raises(ReproError, match="internal error: boom"):
+                    await client.telemetry_snapshot()
+                stats = await client.server_stats()
+                await client.aclose()
+                return stats
+
+        stats = asyncio.run(run())
+        assert stats["server"]["errors"] == 1
+        # Only the stats request itself: the probe stays uncounted.
+        assert stats["server"]["requests"] == 1
+
     def test_bad_session_config_rejected(self):
         async def run():
             async with running_server() as server:

@@ -39,7 +39,8 @@ from repro.fleet import FleetConfig, FleetServer, frontend
 from repro.runtime import BlockSource, StreamingPipeline, StreamingTracker
 from repro.runtime.tracker import SpectrogramColumn
 from repro.serve import AsyncServeClient, SensingServer, ServeConfig
-from repro.serve.resilient import BackoffPolicy, ResilientServeClient
+from repro.serve import resilient
+from repro.serve.resilient import ResilientServeClient
 
 from tests.helpers import FAST, synthetic_trace
 
@@ -305,7 +306,7 @@ class ResilientPath(ServePath):
         await self._drop(stream.slot)
         client = self.clients[stream.slot] = ResilientServeClient(
             HOST, self.port, session_config=FAST, use_music=stream.use_music,
-            start_time_s=stream.start_time_s, backoff=BackoffPolicy(0.01, max_attempts=20),
+            start_time_s=stream.start_time_s,
         )
         await client.start()
 
@@ -480,7 +481,7 @@ _session = st.tuples(st.booleans(), st.floats(0.0, 1e4))
 # TestGoldenEquivalence::test_clean_trace_matches_offline_bit_for_bit (blocks of 48) and
 # TestSchedulerHooks::test_ingest_poll_resolve_equals_push (served paths run
 # ingest/poll/resolve); capture/test_replay.py: test_clean_run_replays_bit_identically and
-# test_recorded_session_replays_offline_and_live (blocks of 96);
+# (retired) test_recorded_session_replays_offline_and_live (blocks of 96);
 # fleet/test_frontend.py (retired): TestRouting::test_streamed_columns_match_offline_bit_for_bit.
 @pinned([push(48, 96)] * 5 + [push(48)] * 3 + [push(16)])
 # runtime/test_tracker.py (retired):
@@ -504,12 +505,12 @@ _session = st.tuples(st.booleans(), st.floats(0.0, 1e4))
     [push(48, 80)] * 6 + [push(48)] * 4 + [("close", 0), ("close", 1), ("open", 0), ("open", 1)]
     + [push(160, 48)] * 3 + [push(0, 48)] * 7
 )
-# chaos/test_resume.py: test_checkpoint_restore_roundtrip_is_bit_exact, a checkpoint after four
-# blocks of 88, inside a NaN burst.
+# chaos/test_resume.py (retired): test_checkpoint_restore_roundtrip_is_bit_exact, a checkpoint
+# after four blocks of 88, inside a NaN burst.
 @pinned([push(88)] * 3 + [push(88, 0, True), ("resume", 0), push(88, 0, True)] + [push(88)] * 3)
-# chaos/test_resume.py: test_killed_and_resumed_equals_uninterrupted (slot 0 is killed after a
-# NaN block, so its checkpoint carries DEGRADED health; slot 1 runs uninterrupted; closing slot 0
-# checks samples_in) and test_resumed_session_acks_replayed_seq_as_duplicate.
+# chaos/test_resume.py (retired): test_killed_and_resumed_equals_uninterrupted (slot 0 is killed
+# after a NaN block, so its checkpoint carries DEGRADED health; slot 1 runs uninterrupted; closing
+# slot 0 checks samples_in) and test_resumed_session_acks_replayed_seq_as_duplicate.
 @pinned(
     [push(80, 80)] * 4 + [push(80, 80, True), ("resume", 0), ("duplicate", 0)]
     + [push(80, 80)] * 3 + [("close", 0)]
@@ -539,8 +540,11 @@ def run_operations(path: str, backend: str, tally: Counter, seed, sessions, ops)
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("path", list(PATHS))
 def test_every_path_serves_offline_columns(path, backend, record_property, monkeypatch):
-    # A faster fleet supervisor restarts a killed shard sooner.
+    # A faster fleet supervisor restarts a killed shard sooner, and
+    # resilient clients retry after 10 ms instead of 50, up to 20 times.
     monkeypatch.setattr(frontend, "SUPERVISOR_INTERVAL_S", 0.05)
+    monkeypatch.setattr(resilient, "BACKOFF_INITIAL_S", 0.01)
+    monkeypatch.setattr(resilient, "RECONNECT_ATTEMPTS", 20)
     tally = Counter()
     run_operations(path, backend, tally)
     record_property("columns_checked", tally["columns"])
