@@ -41,7 +41,9 @@ def _stream_once(samples: np.ndarray, config: TrackingConfig):
     streamer.close()
     tracker = StreamingTracker(config)
     pipeline = StreamingPipeline(
-        BlockSource(streamer, block_size=BLOCK_SIZE), tracker, detector=DetectStage()
+        BlockSource(streamer, block_size=BLOCK_SIZE),
+        tracker,
+        detector=DetectStage(config.theta_grid_deg),
     )
     result = pipeline.run()
     return result, tracker

@@ -75,21 +75,19 @@ from repro.core.nulling import (
 )
 from repro.core.localization import integrate_track, summarize_tracks
 from repro.core.monitoring import (
-    AutoCalibratingDevice,
-    CaptureHealth,
+    BlockHealth,
     DeviceHealth,
     HealthStateMachine,
     NullingMonitor,
     ResilientDevice,
     sanitize_series,
-    screen_series,
+    screen_block,
 )
 from repro.errors import (
     CalibrationError,
     CaptureQualityError,
     DegenerateCovarianceError,
     DeviceFailedError,
-    HardwareFault,
     ReproError,
 )
 from repro.faults import (
@@ -144,10 +142,9 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AngleTracker",
-    "AutoCalibratingDevice",
+    "BlockHealth",
     "BodyModel",
     "CalibrationError",
-    "CaptureHealth",
     "CaptureQualityError",
     "ChannelSeries",
     "ChannelSeriesSimulator",
@@ -163,7 +160,6 @@ __all__ = [
     "GestureDecodeResult",
     "GestureDecoder",
     "GestureTrajectory",
-    "HardwareFault",
     "HealthStateMachine",
     "Human",
     "LinearTrajectory",
@@ -224,7 +220,7 @@ __all__ = [
     "run_nulling",
     "run_nulling_with_retry",
     "sanitize_series",
-    "screen_series",
+    "screen_block",
     "smoothed_correlation_matrix",
     "smoothed_music_spectrum",
     "spatial_centroid",

@@ -25,7 +25,7 @@ from repro.capture.format import (
     config_to_snapshot,
     write_bundle,
 )
-from repro.capture.recorder import CaptureRecorder, RecordingBlockSource
+from repro.capture.recorder import CaptureRecorder
 from repro.capture.replayer import (
     ReplayBlockSource,
     ReplayVerification,
@@ -53,7 +53,6 @@ __all__ = [
     "CaptureRecorder",
     "CaptureStore",
     "CaptureWriter",
-    "RecordingBlockSource",
     "ReplayBlockSource",
     "ReplayVerification",
     "RetentionPolicy",

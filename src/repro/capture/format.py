@@ -15,9 +15,10 @@ capture in memory.
                           float64 samples (the repro.encoding codec
                           the serve wire already proved bit-exact),
                           and a CRC32 over the raw packed bytes
-        manifest.ndjson   one line per metadata event: recorded
-                          spectrogram columns, health transitions,
-                          stream gaps, fault/chaos schedules
+        manifest.ndjson   one line per metadata event, in stream
+                          order: recorded spectrogram columns,
+                          detections, health transitions, stream
+                          gaps, the injected fault schedule
         footer.json       totals + ``"sealed": true`` — its presence
                           is the capture's completeness marker
 

@@ -1,43 +1,30 @@
-"""Recording taps: capture exactly what the tracker saw.
+"""The recording tap: capture exactly what the tracker saw.
 
-The recorder sits at the block boundary — *after* the source ring's
-overflow policy, *before* the tracker — so a capture holds the
-delivered sample stream, not the offered one.  That is the stream a
-replay must reproduce: drops that happened upstream are not samples to
-re-deliver, they are :class:`gap events <repro.runtime.pipeline.
-GapEvent>` to re-enact (the tracker reset that
-:meth:`~repro.runtime.pipeline.StreamingPipeline._check_gap` performs
-live is re-performed from the recorded gap on replay).
+:class:`CaptureRecorder` holds the typed verbs over one capture's
+writer.  Both block paths call them at the same points:
+:class:`~repro.runtime.pipeline.StreamingPipeline` (``repro record``)
+and :class:`~repro.serve.session.ServeSession` (``repro serve --record
+DIR``) each hold an optional recorder.  Each block is recorded at the
+tracker boundary, after the source ring and screening and before the
+tracker, and each health event, column and detection as it fires, so
+manifest events land in stream order.
 
-Two taps share one :class:`CaptureRecorder`:
-
-* :class:`RecordingBlockSource` wraps a
-  :class:`~repro.runtime.ring.BlockSource` (and hence any upstream —
-  an :class:`~repro.hardware.streaming.RxStreamer` or a plain chunk
-  iterator).  Drop it into a :class:`~repro.runtime.pipeline.
-  StreamingPipeline` as the source and the run is recorded untouched.
-* The serve layer calls the recorder's verbs directly from
-  :class:`~repro.serve.session.ServeSession` (``repro serve
-  --record DIR``): chunks at ingest, columns at resolve, health events
-  as they fire.
-
-Gap attribution mirrors the pipeline's own bookkeeping: every drop a
-``poll()`` incurs happens while pulling upstream chunks, *before* any
-block of that poll is cut, so the whole drop delta is charged to the
-first block the poll emits.  A poll that drops but emits nothing
-carries the delta forward to the next emitted block — exactly when the
-live pipeline would first observe it.
+A capture therefore holds the delivered sample stream, not the offered
+one.  Upstream drops are not samples to re-deliver but :class:`gap
+events <repro.runtime.pipeline.GapEvent>` to re-enact: the pipeline
+records the gap its own ``_check_gap`` attributes, and replay resets
+the tracker before the chunk that gap is charged to, as the live
+pipeline did.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
 from repro.capture.format import CaptureWriter
-from repro.runtime.pipeline import DetectionEvent, HealthEvent
-from repro.runtime.ring import BlockSource, SampleBlock, SampleRingBuffer
+from repro.runtime.pipeline import DetectionEvent, GapEvent, HealthEvent
 from repro.runtime.tracker import SpectrogramColumn
 from repro.encoding import floats_to_bytes, pack_floats
 
@@ -50,7 +37,6 @@ EVENT_HEALTH = "health"
 EVENT_COLUMN = "column"
 EVENT_DETECTION = "detection"
 EVENT_FAULT_SCHEDULE = "fault_schedule"
-EVENT_CHAOS_SCHEDULE = "chaos_schedule"
 
 
 class CaptureRecorder:
@@ -73,16 +59,16 @@ class CaptureRecorder:
         """One delivered sample block, exactly as the tracker saw it."""
         self.writer.append_chunk(samples, start_index)
 
-    def record_gap(self, block_index: int, dropped_samples: int) -> None:
-        """Samples vanished upstream just before ``block_index``.
+    def record_gap(self, gap: GapEvent) -> None:
+        """Samples vanished upstream just before ``gap.block_index``.
 
         Replay re-enacts this as a tracker reset before pushing the
         chunk whose ``start_index`` equals ``block_index``.
         """
         self.writer.append_event(
             EVENT_GAP,
-            block_index=int(block_index),
-            dropped_samples=int(dropped_samples),
+            block_index=int(gap.block_index),
+            dropped_samples=int(gap.dropped_samples),
         )
 
     # ------------------------------------------------------------------
@@ -150,14 +136,6 @@ class CaptureRecorder:
             payload = dict(schedule)
         self.writer.append_event(EVENT_FAULT_SCHEDULE, schedule=payload)
 
-    def record_chaos_schedule(self, schedule: Any) -> None:
-        """The transport-chaos plan a serve run was subjected to."""
-        self.writer.append_event(EVENT_CHAOS_SCHEDULE, schedule=schedule)
-
-    def record_event(self, kind: str, **fields: Any) -> None:
-        """Escape hatch for manifest events without a dedicated verb."""
-        self.writer.append_event(kind, **fields)
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -173,65 +151,3 @@ class CaptureRecorder:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.writer.__exit__(exc_type, exc, tb)
-
-
-class RecordingBlockSource:
-    """A :class:`~repro.runtime.ring.BlockSource` tap.
-
-    Source-compatible (``poll``/``drain``/``ring``/``exhausted``/
-    ``block_size``), so it drops into a
-    :class:`~repro.runtime.pipeline.StreamingPipeline` unchanged.
-    Every emitted block is recorded as a chunk; every upstream drop is
-    recorded as a gap event charged to the first block emitted at or
-    after the drop — the same attribution the pipeline's gap check
-    makes live, so replay resets the tracker at the same stream
-    positions the original run did.
-    """
-
-    def __init__(self, source: BlockSource, recorder: CaptureRecorder):
-        self.source = source
-        self.recorder = recorder
-        self._dropped_recorded = source.ring.dropped_sample_count
-
-    # Source-protocol surface ------------------------------------------
-
-    @property
-    def ring(self) -> SampleRingBuffer:
-        return self.source.ring
-
-    @property
-    def block_size(self) -> int:
-        return self.source.block_size
-
-    @property
-    def exhausted(self) -> bool:
-        return self.source.exhausted
-
-    @property
-    def emitted_block_count(self) -> int:
-        return self.source.emitted_block_count
-
-    def poll(self) -> list[SampleBlock]:
-        blocks = self.source.poll()
-        if blocks:
-            # All drops of this poll (and of any block-less polls
-            # before it) happened while pulling, before the first block
-            # was cut: charge them to that block, then record the
-            # blocks themselves.
-            dropped = self.source.ring.dropped_sample_count
-            if dropped != self._dropped_recorded:
-                self.recorder.record_gap(
-                    block_index=blocks[0].start_index,
-                    dropped_samples=dropped - self._dropped_recorded,
-                )
-                self._dropped_recorded = dropped
-            for block in blocks:
-                self.recorder.record_block(block.samples, block.start_index)
-        return blocks
-
-    def drain(self) -> Iterator[SampleBlock]:
-        while True:
-            blocks = self.poll()
-            if not blocks:
-                return
-            yield from blocks

@@ -338,7 +338,9 @@ def cmd_stream(args: argparse.Namespace) -> int:
     streamer = RxStreamer(max_buffers=args.max_buffers)
     source = BlockSource(streamer, block_size=args.block_size)
     tracker = StreamingTracker(device.config.tracking, use_music=not args.beamforming)
-    pipeline = StreamingPipeline(source, tracker, detector=DetectStage())
+    pipeline = StreamingPipeline(
+        source, tracker, detector=DetectStage(tracker.config.theta_grid_deg)
+    )
 
     detections = 0
 
@@ -724,7 +726,7 @@ def cmd_load(args: argparse.Namespace) -> int:
 
 def cmd_record(args: argparse.Namespace) -> int:
     """Record a streaming run into the capture store, bit-exactly."""
-    from repro.capture import CaptureRecorder, CaptureStore, RecordingBlockSource
+    from repro.capture import CaptureRecorder, CaptureStore
     from repro.runtime import (
         BlockSource,
         DetectStage,
@@ -770,22 +772,17 @@ def cmd_record(args: argparse.Namespace) -> int:
         },
     )
     recorder = CaptureRecorder(writer)
-    source = RecordingBlockSource(
-        BlockSource(iter(chunks), block_size=args.block_size), recorder
+    pipeline = StreamingPipeline(
+        BlockSource(iter(chunks), block_size=args.block_size),
+        StreamingTracker(config),
+        detector=DetectStage(config.theta_grid_deg),
+        recorder=recorder,
     )
-    tracker = StreamingTracker(config)
-    pipeline = StreamingPipeline(source, tracker, detector=DetectStage())
     with recorder:
         if fault_schedule is not None:
             recorder.record_fault_schedule(fault_schedule)
         with get_telemetry().span("record.run", samples=len(samples)):
             result = pipeline.run()
-        for column in result.columns:
-            recorder.record_column(column)
-        for detection in result.detections:
-            recorder.record_detection(detection)
-        for event in result.health_events:
-            recorder.record_health(event)
     # One parseable line, like serve's port line: scripts (and the CI
     # smoke step) read the capture id from it.
     out(f"record: capture {writer.header.capture_id} sealed in {store.root}")

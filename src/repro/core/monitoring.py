@@ -1,4 +1,4 @@
-"""Nulling-health monitoring, capture screening, and recovery policy.
+"""Nulling-health monitoring, block screening, and recovery policy.
 
 Nulling is a snapshot: the precoder cancels the static channel *as it
 was measured*.  When the static environment drifts — a door opens, the
@@ -10,10 +10,10 @@ Three layers, bottom up:
 
 * `NullingMonitor` watches the DC level of captured traces against the
   level recorded at calibration and flags when the achieved suppression
-  has eroded by more than a budget; `AutoCalibratingDevice` wraps a
-  `WiViDevice` with that policy alone.
-* :func:`screen_series` / :func:`sanitize_series` — NaN/saturation/
-  dead-air screening of the capture path, with bounded in-place repair.
+  has eroded by more than a budget.
+* :func:`screen_block` / :func:`sanitize_series` — NaN/saturation/
+  dead-air screening of every sample block (a capture, a streamed
+  block, a served push), with bounded in-place repair of captures.
 * :class:`HealthStateMachine` + :class:`ResilientDevice` — the
   HEALTHY → DEGRADED → RECALIBRATING → FAILED device health machine
   with hysteresis and recovery counters, driving captures through
@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.core.nulling import NullingResult
 from repro.core.tracking import MotionSpectrogram, compute_spectrogram
 from repro.errors import CalibrationError, CaptureQualityError, DeviceFailedError
 from repro.faults.injector import FaultInjector
@@ -106,54 +105,23 @@ class NullingMonitor:
         return self.erosion_db(series) > EROSION_BUDGET_DB
 
 
-@dataclass
-class AutoCalibratingDevice:
-    """A `WiViDevice` that re-runs Algorithm 1 when nulling erodes.
-
-    Usage::
-
-        auto = AutoCalibratingDevice(device)
-        series = auto.capture(10.0)   # recalibrates transparently
-    """
-
-    device: WiViDevice
-    monitor: NullingMonitor = field(default_factory=NullingMonitor, init=False)
-    recalibration_count: int = 0
-
-    def _calibrate_and_baseline(self) -> NullingResult:
-        result = self.device.calibrate()
-        baseline = self.device.capture(1.0)
-        self.monitor.set_baseline(baseline)
-        return result
-
-    def capture(self, duration_s: float) -> ChannelSeries:
-        """Capture a trace, recalibrating first if the last one eroded."""
-        if not self.device.is_calibrated:
-            self._calibrate_and_baseline()
-        series = self.device.capture(duration_s)
-        if self.monitor.needs_recalibration(series):
-            self.recalibration_count += 1
-            self._calibrate_and_baseline()
-            series = self.device.capture(duration_s)
-        return series
-
-
 # ----------------------------------------------------------------------
-# Capture screening
+# Screening and repair
 # ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class CaptureHealth:
-    """Screening verdict for one captured trace.
+class BlockHealth:
+    """Screening verdict for one block of samples.
 
     Attributes:
         nan_fraction: fraction of non-finite samples (DMA/driver
             corruption — NaN bursts).
-        zero_fraction: fraction of exactly-zero samples (dead air: the
-            host dropped buffers and the stream delivered nothing).
-        saturation_fraction: fraction of samples sitting on the
-            amplitude rails (ADC clipping — the flash re-entering).
+        zero_fraction: fraction of exactly-zero finite samples (dead
+            air: the host dropped buffers and the stream delivered
+            nothing).
+        saturation_fraction: fraction of samples on a rail plateau
+            (ADC clipping — the flash re-entering).
     """
 
     nan_fraction: float
@@ -165,31 +133,44 @@ class CaptureHealth:
         """Fraction of samples carrying no usable signal."""
         return self.nan_fraction + self.zero_fraction
 
+    @property
+    def beyond_repair(self) -> bool:
+        """Too damaged to interpolate, or clipped past the limit.
 
-def screen_series(series: ChannelSeries) -> CaptureHealth:
-    """Screen a capture for NaN bursts, dead air, and saturation.
+        Clipping cannot be interpolated away: a capture this bad is
+        discarded, and a streamed block this bad counts as bad.
+        """
+        return (
+            self.damaged_fraction > MAX_REPAIRABLE_FRACTION
+            or self.saturation_fraction > MAX_SATURATION_FRACTION
+        )
+
+
+def screen_block(samples: np.ndarray) -> BlockHealth:
+    """Screen a block of samples for NaN bursts, dead air, and saturation.
 
     Saturation is detected as a *plateau*: the fraction of samples
-    whose I or Q rail sits within 0.1 % of the capture's maximum rail
-    excursion.  Clean noise-bearing captures place only O(1/n) samples
-    there; a clipped episode parks every affected sample on the rail.
+    whose I or Q rail sits within 0.1 % of the block's maximum rail
+    excursion, not counting the peak sample itself, which trivially
+    sits on its own rail.  Counting it would put a 1/n floor under
+    every block and trip the saturation limit on a clean 16-sample
+    tail block; a clipped episode parks every affected sample on the
+    rail.  A capture is screened as one block.
     """
-    samples = np.asarray(series.samples)
-    n = len(samples)
-    if n == 0:
-        raise ValueError("cannot screen an empty capture")
+    samples = np.asarray(samples)
+    if len(samples) == 0:
+        raise ValueError("cannot screen an empty block")
     finite = np.isfinite(samples)
     nan_fraction = float(np.mean(~finite))
     zero_fraction = float(np.mean(samples[finite] == 0.0)) if finite.any() else 0.0
     saturation_fraction = 0.0
     if finite.any():
-        rails = np.maximum(
-            np.abs(samples[finite].real), np.abs(samples[finite].imag)
-        )
+        rails = np.maximum(np.abs(samples[finite].real), np.abs(samples[finite].imag))
         peak = float(rails.max())
         if peak > 0.0:
-            saturation_fraction = float(np.mean(rails >= 0.999 * peak))
-    return CaptureHealth(
+            at_rail = int(np.count_nonzero(rails >= 0.999 * peak))
+            saturation_fraction = (at_rail - 1) / len(samples)
+    return BlockHealth(
         nan_fraction=nan_fraction,
         zero_fraction=zero_fraction,
         saturation_fraction=saturation_fraction,
@@ -501,11 +482,8 @@ class ResilientDevice:
         for _ in range(MAX_CAPTURE_ATTEMPTS):
             self.machine.capture_index += 1
             series = self._raw_capture(duration_s)
-            health = screen_series(series)
-            if (
-                health.saturation_fraction > MAX_SATURATION_FRACTION
-                or health.damaged_fraction > MAX_REPAIRABLE_FRACTION
-            ):
+            health = screen_block(series.samples)
+            if health.beyond_repair:
                 self.machine.record_bad(
                     f"capture discarded (nan={health.nan_fraction:.3f}, "
                     f"zero={health.zero_fraction:.3f}, "

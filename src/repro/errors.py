@@ -6,16 +6,13 @@ high sample rates (the UHD 'O' overflows that forced the 5 MHz
 prototype, §7.1), and MUSIC degenerates when the emulated-array
 covariance is ill-conditioned (§5).  A production pipeline needs to
 *name* those failures so the recovery layer can dispatch on them
-instead of pattern-matching strings.
+instead of pattern-matching strings.  Faults at the radio boundary are
+not exceptions: block screening turns NaN bursts, dead air and
+clipping into health events, and ring drops surface as stream gaps.
 
 Hierarchy::
 
     ReproError
-    ├── HardwareFault          (something at the radio boundary broke)
-    │   ├── SampleCorruptionError
-    │   ├── AdcSaturationError
-    │   ├── StreamOverflowError
-    │   └── ClockFault
     ├── CalibrationError       (Algorithm 1 could not converge)
     ├── DegenerateCovarianceError  (MUSIC cannot run on this window)
     ├── DspBackendError        (a DSP backend is unknown)
@@ -46,26 +43,6 @@ from __future__ import annotations
 
 class ReproError(Exception):
     """Base class for every structured error raised by the stack."""
-
-
-class HardwareFault(ReproError):
-    """A fault at the hardware boundary (real or injected)."""
-
-
-class SampleCorruptionError(HardwareFault):
-    """The capture contains non-finite (NaN/Inf) samples."""
-
-
-class AdcSaturationError(HardwareFault):
-    """The capture clipped against the ADC rails."""
-
-
-class StreamOverflowError(HardwareFault):
-    """The host fell behind and the receive stream dropped samples."""
-
-
-class ClockFault(HardwareFault):
-    """The shared reference jumped; phase continuity is lost."""
 
 
 class CalibrationError(ReproError):
@@ -157,10 +134,11 @@ class ServeOverloadError(ReproError):
 
     Raised (and sent as an error frame) when the micro-batching
     scheduler's admission queue cannot absorb the windows a push would
-    complete.  Unlike :class:`StreamOverflowError` — where samples were
-    *silently lost* at the hardware boundary — a shed request rejects
-    the whole block before any sample is buffered, so the session's
-    window alignment survives and the client may simply retry later.
+    complete.  Unlike a ring overflow — where samples are lost at the
+    hardware boundary and surface as a stream gap — a shed request
+    rejects the whole block before any sample is buffered, so the
+    session's window alignment survives and the client may simply retry
+    later.
     """
 
 

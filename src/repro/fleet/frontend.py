@@ -57,6 +57,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import (
+    FleetError,
     ProtocolError,
     ReproError,
     ServeOverloadError,
@@ -119,7 +120,13 @@ class FleetConfig:
 
 @dataclass
 class FleetStats:
-    """Always-on routing-layer accounting."""
+    """Always-on routing-layer accounting.
+
+    Each typed migration frame counts once, as a drain or a crash
+    notice; ``relay_errors`` counts the frames the relay itself could
+    not serve (malformed input, deadline expiries, unknown frames,
+    fleet-level sheds and internal errors).
+    """
 
     connections: int = 0
     requests_relayed: int = 0
@@ -684,7 +691,13 @@ class _ClientRelay:
                 return await self._relay_session_frame(frame, line)
             raise ProtocolError(f"unknown frame type {kind!r}")
         except ReproError as exc:
-            fleet.stats.relay_errors += 1
+            # A typed fleet frame is a migration notice, not a relay fault.
+            if isinstance(exc, ShardDrainingError):
+                fleet.stats.drain_notices += 1
+            elif isinstance(exc, FleetError):
+                fleet.stats.crash_notices += 1
+            else:
+                fleet.stats.relay_errors += 1
             return await self._send_client(
                 protocol.error_frame(exc, session=session_id, seq=seq)
             )
@@ -739,14 +752,12 @@ class _ClientRelay:
         if state is None or state.generation != route.generation:
             # The owning incarnation is gone: this session is orphaned.
             self.routes.pop(session_id, None)
-            fleet.stats.crash_notices += 1
             raise WorkerCrashedError(
                 f"shard {route.shard} crashed; resume to migrate "
                 f"session {session_id}"
             )
         if state.draining or state.stopped:
             self.routes.pop(session_id, None)
-            fleet.stats.drain_notices += 1
             raise ShardDrainingError(
                 f"shard {route.shard} is draining; resume to migrate "
                 f"session {session_id}"
@@ -755,7 +766,6 @@ class _ClientRelay:
             reply = await self._exchange(state, line)
         except WorkerCrashedError:
             self.routes.pop(session_id, None)
-            fleet.stats.crash_notices += 1
             raise
         if frame.get("type") == protocol.CLOSE_SESSION:
             self.routes.pop(session_id, None)

@@ -13,6 +13,7 @@ executor with seed-stable, order-independent results
 The CLI front end is ``python -m repro stream``.
 """
 
+from repro.core.monitoring import BlockHealth, screen_block
 from repro.telemetry.metrics import RuntimeMetrics, StageMetrics, StageTimer
 from repro.runtime.parallel import (
     ParallelCampaignReport,
@@ -20,7 +21,6 @@ from repro.runtime.parallel import (
     run_campaign_parallel,
 )
 from repro.runtime.pipeline import (
-    BlockHealth,
     ColumnEvent,
     ConditionStage,
     DetectStage,
@@ -29,7 +29,6 @@ from repro.runtime.pipeline import (
     HealthEvent,
     StreamingPipeline,
     StreamResult,
-    screen_block,
 )
 from repro.runtime.ring import BlockSource, SampleBlock, SampleRingBuffer
 from repro.runtime.tracker import (

@@ -13,26 +13,26 @@ an injected fault becomes a visible HEALTHY -> DEGRADED transition
 Events are delivered two ways: :meth:`StreamingPipeline.process` is a
 generator yielding them as they happen (the CLI's live display), and
 :meth:`StreamingPipeline.run` drains the stream into a
-:class:`StreamResult`.
+:class:`StreamResult`.  A pipeline given a ``recorder`` also records
+the run as it goes (:mod:`repro.capture.recorder`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.monitoring import (
-    MAX_REPAIRABLE_FRACTION,
-    MAX_SATURATION_FRACTION,
-    DeviceHealth,
-    HealthStateMachine,
-)
+from repro.core.monitoring import DeviceHealth, HealthStateMachine, screen_block
 from repro.core.tracking import MotionSpectrogram
 from repro.telemetry.metrics import RuntimeMetrics, StageTimer
 from repro.runtime.ring import BlockSource, SampleBlock
 from repro.runtime.tracker import SpectrogramColumn, StreamingTracker
 from repro.telemetry.context import get_telemetry
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.capture.recorder import CaptureRecorder
 
 # ----------------------------------------------------------------------
 # Events
@@ -85,51 +85,6 @@ StreamEvent = ColumnEvent | DetectionEvent | HealthEvent | GapEvent
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BlockHealth:
-    """Screening verdict for one sample block (cf. ``CaptureHealth``)."""
-
-    nan_fraction: float
-    zero_fraction: float
-    saturation_fraction: float
-
-    @property
-    def damaged_fraction(self) -> float:
-        return self.nan_fraction + self.zero_fraction
-
-
-def screen_block(samples: np.ndarray) -> BlockHealth:
-    """Block-level NaN / dead-air / rail-plateau screening.
-
-    The streaming sibling of
-    :func:`repro.core.monitoring.screen_series`, operating on a raw
-    sample block: saturation is the fraction of samples whose I or Q
-    rail sits within 0.1% of the block's maximum excursion — *beyond*
-    the peak sample itself, which trivially sits on its own rail.
-    (Blocks are far shorter than captures, so the O(1/n) floor that
-    ``screen_series`` tolerates would trip the policy threshold on a
-    clean 16-sample tail block.)
-    """
-    samples = np.asarray(samples)
-    if len(samples) == 0:
-        raise ValueError("cannot screen an empty block")
-    finite = np.isfinite(samples)
-    nan_fraction = float(np.mean(~finite))
-    zero_fraction = float(np.mean(samples[finite] == 0.0)) if finite.any() else 0.0
-    saturation_fraction = 0.0
-    if finite.any():
-        rails = np.maximum(np.abs(samples[finite].real), np.abs(samples[finite].imag))
-        peak = float(rails.max())
-        if peak > 0.0:
-            at_rail = int(np.count_nonzero(rails >= 0.999 * peak))
-            saturation_fraction = (at_rail - 1) / len(samples)
-    return BlockHealth(
-        nan_fraction=nan_fraction,
-        zero_fraction=zero_fraction,
-        saturation_fraction=saturation_fraction,
-    )
-
-
 class ConditionStage:
     """Screens each block and drives the health machine.
 
@@ -150,10 +105,7 @@ class ConditionStage:
         """Screen one block; report the health transitions it caused."""
         health = screen_block(block.samples)
         transitions_before = len(self.machine.transitions)
-        if (
-            health.damaged_fraction > MAX_REPAIRABLE_FRACTION
-            or health.saturation_fraction > MAX_SATURATION_FRACTION
-        ):
+        if health.beyond_repair:
             self.bad_block_count += 1
             self.machine.record_bad(
                 f"bad block (nan={health.nan_fraction:.3f}, "
@@ -199,22 +151,13 @@ class DetectStage:
     :func:`repro.core.detection.peak_to_dc_ratio_db`, per column).
     """
 
-    def __init__(self, theta_grid_deg: np.ndarray | None = None):
-        self._off_dc: np.ndarray | None = None
-        if theta_grid_deg is not None:
-            self._bind_grid(np.asarray(theta_grid_deg))
-
-    def _bind_grid(self, theta_grid_deg: np.ndarray) -> None:
-        self.theta_grid_deg = theta_grid_deg
-        self._off_dc = np.abs(theta_grid_deg) >= DC_GUARD_DEG
+    def __init__(self, theta_grid_deg: np.ndarray):
+        self.theta_grid_deg = np.asarray(theta_grid_deg)
+        self._off_dc = np.abs(self.theta_grid_deg) >= DC_GUARD_DEG
         if not np.any(self._off_dc) or np.all(self._off_dc):
             raise ValueError("DC guard leaves an empty region")
 
-    def process(
-        self, column: SpectrogramColumn, theta_grid_deg: np.ndarray
-    ) -> DetectionEvent | None:
-        if self._off_dc is None:
-            self._bind_grid(theta_grid_deg)
+    def process(self, column: SpectrogramColumn) -> DetectionEvent | None:
         db = 20.0 * np.log10(np.maximum(column.power, np.finfo(float).tiny))
         off = self._off_dc
         peak_off = float(db[off].max())
@@ -263,6 +206,11 @@ class StreamingPipeline:
         detector: per-column motion detection (None disables it).
         sink: callback invoked with every event, in stream order (the
             CLI's live printer; metrics charge its time to "sink").
+        recorder: optional capture tap (``repro record``): every gap,
+            block, health event, column and detection is recorded
+            through it where the stage graph sees it, with the verbs a
+            serve session calls, so the capture holds exactly the
+            blocks the tracker consumed, in stream order.
     """
 
     def __init__(
@@ -272,12 +220,14 @@ class StreamingPipeline:
         condition: ConditionStage | None = None,
         detector: DetectStage | None = None,
         sink=None,
+        recorder: CaptureRecorder | None = None,
     ):
         self.source = source
         self.tracker = tracker
         self.condition = condition if condition is not None else ConditionStage()
         self.detector = detector
         self.sink = sink
+        self.recorder = recorder
         self.metrics = RuntimeMetrics()
         # Share the tracker's own metrics object under its stage name.
         self.metrics.stages["track"] = tracker.metrics
@@ -333,6 +283,7 @@ class StreamingPipeline:
         pushes continues the stream (state lives in the stages, not in
         the generator).
         """
+        recorder = self.recorder
         while True:
             with StageTimer(self.metrics.stage("source")) as source_timer:
                 blocks = self.source.poll()
@@ -342,26 +293,34 @@ class StreamingPipeline:
             for block in blocks:
                 gap = self._check_gap(block.start_index)
                 if gap is not None:
+                    if recorder is not None:
+                        recorder.record_gap(gap)
                     yield self._deliver(gap)
                 with StageTimer(
                     self.metrics.stage("condition"), items_in=len(block)
                 ) as timer:
                     health_events = self.condition.process(block)
                     timer.items_out = len(block)
+                if recorder is not None:
+                    recorder.record_block(block.samples, block.start_index)
+                    for event in health_events:
+                        recorder.record_health(event)
                 for event in health_events:
                     yield self._deliver(event)
                 columns = self.tracker.push(block.samples)
                 for column in columns:
+                    if recorder is not None:
+                        recorder.record_column(column)
                     yield self._deliver(ColumnEvent(column))
                     if self.detector is not None:
                         with StageTimer(
                             self.metrics.stage("detect"), items_in=1
                         ) as timer:
-                            detection = self.detector.process(
-                                column, self.tracker.config.theta_grid_deg
-                            )
+                            detection = self.detector.process(column)
                             timer.items_out = 0 if detection is None else 1
                         if detection is not None:
+                            if recorder is not None:
+                                recorder.record_detection(detection)
                             yield self._deliver(detection)
 
     def run(self) -> StreamResult:

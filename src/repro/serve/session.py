@@ -348,7 +348,7 @@ class ServeSession:
     ) -> tuple[SpectrogramColumn, DetectionEvent | None]:
         """Complete one scheduled window: column + optional detection."""
         column = self.tracker.resolve(pending, frame)
-        detection = self.detector.process(column, self.config.theta_grid_deg)
+        detection = self.detector.process(column)
         self.stats.columns_out += 1
         if detection is not None:
             self.stats.detections += 1

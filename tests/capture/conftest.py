@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.capture import CaptureRecorder, CaptureStore, RecordingBlockSource
+from repro.capture import CaptureRecorder, CaptureStore
 from repro.core.tracking import TrackingConfig
 from repro.runtime import BlockSource, DetectStage, StreamingPipeline, StreamingTracker
 from repro.telemetry.context import reset_telemetry
@@ -59,7 +59,7 @@ def record_pipeline(
     ring_capacity: int | None = None,
     source: str = "stream",
 ):
-    """Record ``samples`` through a full, tapped streaming pipeline.
+    """Record ``samples`` through a full streaming pipeline's recorder.
 
     ``chunk_size`` sets the upstream delivery granularity; push chunks
     larger than ``ring_capacity`` to force drops (recorded gaps).
@@ -76,18 +76,12 @@ def record_pipeline(
         sample_rate_hz=1.0 / config.sample_period_s,
     )
     recorder = CaptureRecorder(writer)
-    tracker = StreamingTracker(config)
-    tap = RecordingBlockSource(
+    pipeline = StreamingPipeline(
         BlockSource(iter(chunks), block_size, ring_capacity=ring_capacity),
-        recorder,
+        StreamingTracker(config),
+        detector=DetectStage(config.theta_grid_deg),
+        recorder=recorder,
     )
-    pipeline = StreamingPipeline(tap, tracker, detector=DetectStage())
     with recorder:
         result = pipeline.run()
-        for column in result.columns:
-            recorder.record_column(column)
-        for detection in result.detections:
-            recorder.record_detection(detection)
-        for event in result.health_events:
-            recorder.record_health(event)
     return writer.header.capture_id, result

@@ -12,7 +12,6 @@ from repro.capture import (
     CaptureReader,
     promote_to_fixture,
     recorded_columns,
-    replay_columns,
     replay_pipeline,
     replay_serve_async,
     serve_config_overrides,
@@ -25,17 +24,6 @@ from repro.serve import SensingServer, ServeConfig
 
 
 class TestOfflineReplay:
-    def test_clean_run_replays_bit_identically(self, store, record, make_trace, fast_config):
-        capture_id, result = record(make_trace(), fast_config)
-        reader = store.open(capture_id)
-        verification = verify_capture(reader)
-        assert verification.ok, verification.mismatches
-        assert verification.num_columns == len(result.columns) > 0
-        replayed = replay_columns(reader)
-        for original, replay in zip(result.columns, replayed):
-            assert np.array_equal(original.power, replay.power)
-            assert original.start_sample == replay.start_sample
-
     def test_gapped_run_re_enacts_resets(self, store, record, make_trace, fast_config):
         # Chunks larger than the ring force drops: real recorded gaps.
         capture_id, result = record(
@@ -71,6 +59,9 @@ class TestOfflineReplay:
         capture_id, _ = record(trace, fast_config)
         reader = store.open(capture_id)
         assert reader.events(EVENT_HEALTH), "screening never fired on the burst"
+        # Events are recorded in stream order: later columns follow the burst's.
+        kinds = [event["kind"] for event in reader.events()]
+        assert EVENT_COLUMN in kinds[kinds.index(EVENT_HEALTH) :]
         verification = verify_capture(reader)
         assert verification.ok, verification.mismatches
 

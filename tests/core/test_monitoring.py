@@ -5,13 +5,13 @@ import pytest
 
 from repro.core import monitoring
 from repro.core.monitoring import (
-    AutoCalibratingDevice,
     DeviceHealth,
     HealthStateMachine,
     NullingMonitor,
+    ResilientDevice,
     dc_level,
     sanitize_series,
-    screen_series,
+    screen_block,
 )
 from repro.errors import CaptureQualityError, DeviceFailedError
 from repro.environment.geometry import Point
@@ -60,11 +60,11 @@ def test_auto_device_calibrates_lazily(rng):
     room = stata_conference_room_small()
     trajectory = LinearTrajectory(Point(6.0, 0.8), Point(-0.5, 0.0), 20.0)
     scene = Scene(room=room, humans=[Human(trajectory, BodyModel(limb_count=0))])
-    auto = AutoCalibratingDevice(WiViDevice(scene, rng))
+    auto = ResilientDevice(WiViDevice(scene, rng))
     series = auto.capture(2.0)
     assert auto.device.is_calibrated
     assert len(series.samples) > 0
-    assert auto.recalibration_count == 0
+    assert auto.machine.recalibration_count == 0
 
 
 def test_auto_device_recalibrates_on_drift(rng, monkeypatch):
@@ -72,9 +72,9 @@ def test_auto_device_recalibrates_on_drift(rng, monkeypatch):
     room = stata_conference_room_small()
     scene = Scene(room=room)
     device = WiViDevice(scene, rng)
-    auto = AutoCalibratingDevice(device)
-    first = auto.capture(1.0)
-    assert auto.recalibration_count == 0
+    auto = ResilientDevice(device)
+    auto.capture(1.0)
+    assert auto.machine.recalibration_count == 0
 
     # Simulate environmental drift: the next capture's nulling depth is
     # forced shallow, inflating the DC residual.
@@ -93,7 +93,12 @@ def test_auto_device_recalibrates_on_drift(rng, monkeypatch):
 
     monkeypatch.setattr(device, "capture", drifted)
     auto.capture(1.0)
-    assert auto.recalibration_count == 1
+    assert auto.machine.recalibration_count == 1
+    assert [t.target for t in auto.machine.transitions] == [
+        DeviceHealth.RECALIBRATING,
+        DeviceHealth.DEGRADED,
+    ]
+    assert "nulling eroded" in auto.machine.transitions[0].reason
 
 
 # ----------------------------------------------------------------------
@@ -144,26 +149,29 @@ def test_monitor_set_baseline_clears_history():
 
 
 # ----------------------------------------------------------------------
-# Capture screening and repair
+# Capture screening and repair (the streamed-block inputs of the same
+# screen are in tests/runtime/test_pipeline.py, TestScreenBlock)
 # ----------------------------------------------------------------------
 
 
 def test_screen_clean_capture():
-    health = screen_series(make_series(dc=1e-5, noise_sigma=1e-6))
+    health = screen_block(make_series(dc=1e-5, noise_sigma=1e-6).samples)
     assert health.nan_fraction == 0.0
     assert health.zero_fraction == 0.0
     assert health.saturation_fraction < 0.02
     assert health.damaged_fraction == 0.0
+    assert not health.beyond_repair
 
 
 def test_screen_counts_nan_and_zero_fractions():
     series = make_series(dc=1e-5)
     series.samples[:50] = np.nan
     series.samples[50:100] = 0.0
-    health = screen_series(series)
+    health = screen_block(series.samples)
     assert health.nan_fraction == pytest.approx(0.1)
     assert health.zero_fraction == pytest.approx(50 / 450)
     assert health.damaged_fraction > 0.2
+    assert health.beyond_repair
 
 
 def test_screen_detects_saturation_plateau():
@@ -173,9 +181,9 @@ def test_screen_detects_saturation_plateau():
         series.samples.imag, -rail, rail
     )
     clipped[:200] = rail + 1j * rail  # a hard plateau
-    series.samples[:] = clipped
-    health = screen_series(series)
+    health = screen_block(clipped)
     assert health.saturation_fraction > 0.3
+    assert health.beyond_repair
 
 
 def test_sanitize_interpolates_and_counts():

@@ -112,7 +112,9 @@ class TestDrain:
                 }
                 assert states == {"w0": "drained", "w1": "up"}
                 assert fleet.stats.shards_drained == 1
+                # The drain frame is a notice, counted once; no relay fault.
                 assert fleet.stats.drain_notices == 1
+                assert fleet.stats.relay_errors == 0
 
         asyncio.run(run())
 
@@ -147,6 +149,9 @@ class TestCrash:
                 await client.aclose()
                 assert fleet.stats.worker_crashes == 1
                 assert fleet.stats.worker_restarts == 1
+                # The crash frame is a notice, counted once; no relay fault.
+                assert fleet.stats.crash_notices == 1
+                assert fleet.stats.relay_errors == 0
                 assert fleet._shards["w0"].restarts == 1
                 states = {
                     s["shard"]: s["state"] for s in fleet.shard_snapshots()

@@ -176,6 +176,7 @@ class TestScreenBlock:
         health = screen_block(rng.standard_normal(64) + 1j * rng.standard_normal(64))
         assert health.nan_fraction == 0.0
         assert health.damaged_fraction == 0.0
+        assert not health.beyond_repair
 
     def test_nan_and_zero_fractions(self):
         block = np.ones(10, dtype=complex)
@@ -216,7 +217,7 @@ class TestDetectStage:
         power = np.full_like(theta, 1e-3)
         power[np.abs(theta) < 3.0] = 0.1  # DC stripe
         power[theta == 40.0] = 1.0  # the mover
-        event = DetectStage().process(self._column(power), theta)
+        event = DetectStage(theta).process(self._column(power))
         assert isinstance(event, DetectionEvent)
         assert event.angle_deg == 40.0
         assert event.strength_db == pytest.approx(20.0)
@@ -225,7 +226,7 @@ class TestDetectStage:
         theta = np.arange(-90.0, 91.0)
         power = np.full_like(theta, 1e-3)
         power[np.abs(theta) < 3.0] = 1.0
-        assert DetectStage().process(self._column(power), theta) is None
+        assert DetectStage(theta).process(self._column(power)) is None
 
     def test_threshold_suppresses_weak_peaks(self, monkeypatch):
         monkeypatch.setattr(pipeline_module, "DETECT_THRESHOLD_DB", 10.0)
@@ -233,7 +234,7 @@ class TestDetectStage:
         power = np.full_like(theta, 1e-3)
         power[theta == 0.0] = 0.5
         power[theta == 40.0] = 1.0  # only 6 dB above DC
-        assert DetectStage().process(self._column(power), theta) is None
+        assert DetectStage(theta).process(self._column(power)) is None
 
     def test_degenerate_guard_rejected(self):
         theta = np.arange(-5.0, 6.0)  # every angle inside the DC guard

@@ -31,7 +31,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.capture import CaptureStore, recorded_columns, replay_serve_async, verify_capture
+from repro.capture import (
+    CaptureRecorder,
+    CaptureStore,
+    recorded_columns,
+    replay_columns,
+    replay_serve_async,
+    verify_capture,
+)
 from repro.core.tracking import TrackingConfig, compute_beamformed_frame, compute_spectrogram
 from repro.dsp.backend import backend_names, use_backend
 from repro.errors import DeviceFailedError, SequenceError
@@ -148,7 +155,9 @@ class TrackerPath(Path):
 class PipelinePath(Path):
     """``StreamingPipeline`` over ``BlockSource(iter(pushes), block_size)``, run at close.
 
-    The source ring holds the whole stream, so nothing drops.
+    The source ring holds the whole stream, so nothing drops.  The run records
+    into a capture store through the pipeline's recorder; the capture must pass
+    ``verify_capture``, and its ``replay_columns`` are held to the model too.
     """
 
     async def close(self, stream):
@@ -157,10 +166,22 @@ class PipelinePath(Path):
             size = max(len(block) for block in stream.blocks)
             tracker = StreamingTracker(CONFIG, stream.start_time_s, stream.use_music, WINDOW + size)
             ring = sum(len(block) for block in stream.blocks)
-            result = StreamingPipeline(BlockSource(iter(stream.blocks), size, ring), tracker).run()
+            store = CaptureStore(self.workdir)
+            writer = store.create(
+                "stream", CONFIG, 1.0 / CONFIG.sample_period_s, use_music=stream.use_music,
+                start_time_s=stream.start_time_s, ring_capacity=WINDOW + size,
+            )
+            with CaptureRecorder(writer) as recorder:
+                source = BlockSource(iter(stream.blocks), size, ring)
+                result = StreamingPipeline(source, tracker, recorder=recorder).run()
             assert not result.gaps
             stream.columns = result.columns
             stream.report = (tracker.samples_seen, len(result.columns))
+            reader = store.open(writer.header.capture_id)
+            verification = verify_capture(reader)
+            assert verification.ok, verification.mismatches
+            replayed = replay_columns(reader)
+            self.extra.append(dataclasses.replace(stream, columns=replayed, report=None))
 
 
 class ServePath(Path):
@@ -480,8 +501,8 @@ _session = st.tuples(st.booleans(), st.floats(0.0, 1e4))
 # runtime/test_tracker.py (retired):
 # TestGoldenEquivalence::test_clean_trace_matches_offline_bit_for_bit (blocks of 48) and
 # TestSchedulerHooks::test_ingest_poll_resolve_equals_push (served paths run
-# ingest/poll/resolve); capture/test_replay.py: test_clean_run_replays_bit_identically and
-# (retired) test_recorded_session_replays_offline_and_live (blocks of 96);
+# ingest/poll/resolve); capture/test_replay.py (retired): test_clean_run_replays_bit_identically
+# (the pipeline path's capture) and test_recorded_session_replays_offline_and_live (blocks of 96);
 # fleet/test_frontend.py (retired): TestRouting::test_streamed_columns_match_offline_bit_for_bit.
 @pinned([push(48, 96)] * 5 + [push(48)] * 3 + [push(16)])
 # runtime/test_tracker.py (retired):
