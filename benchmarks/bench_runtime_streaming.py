@@ -37,11 +37,11 @@ BLOCK_SIZE = 64
 def _stream_once(samples: np.ndarray, config: TrackingConfig):
     streamer = RxStreamer(max_buffers=max(len(samples) // BLOCK_SIZE + 1, 16))
     for offset in range(0, len(samples), BLOCK_SIZE):
-        streamer.push(samples[offset : offset + BLOCK_SIZE], 312.5)
+        streamer.push(samples[offset : offset + BLOCK_SIZE])
     streamer.close()
     tracker = StreamingTracker(config)
     pipeline = StreamingPipeline(
-        BlockSource(streamer, block_size=BLOCK_SIZE),
+        BlockSource(streamer),
         tracker,
         detector=DetectStage(config.theta_grid_deg),
     )

@@ -5,9 +5,9 @@ streaming stack: a recording tap (:mod:`repro.capture.recorder`)
 writes exactly the sample stream a tracker consumed — in the
 versioned, checksummed on-disk format of :mod:`repro.capture.format`
 — and the replayer (:mod:`repro.capture.replayer`) feeds it back
-through a rebuilt tracker, a full pipeline, or a live serve session,
-proving the re-derived spectrogram columns bit-identical to the
-originals.  :mod:`repro.capture.store` keeps the accumulating corpus
+through a rebuilt tracker or a live serve session, proving the
+re-derived spectrogram columns bit-identical to the originals.
+:mod:`repro.capture.store` keeps the accumulating corpus
 bounded (age/size/count retention) and audited, and
 :func:`~repro.capture.replayer.promote_to_fixture` feeds the best
 captures back into the regression suite as frozen fixtures — the
@@ -27,13 +27,11 @@ from repro.capture.format import (
 )
 from repro.capture.recorder import CaptureRecorder
 from repro.capture.replayer import (
-    ReplayBlockSource,
     ReplayVerification,
     compare_columns,
     promote_to_fixture,
     recorded_columns,
     replay_columns,
-    replay_pipeline,
     replay_serve,
     replay_serve_async,
     serve_config_overrides,
@@ -53,7 +51,6 @@ __all__ = [
     "CaptureRecorder",
     "CaptureStore",
     "CaptureWriter",
-    "ReplayBlockSource",
     "ReplayVerification",
     "RetentionPolicy",
     "compare_columns",
@@ -62,7 +59,6 @@ __all__ = [
     "promote_to_fixture",
     "recorded_columns",
     "replay_columns",
-    "replay_pipeline",
     "replay_serve",
     "replay_serve_async",
     "serve_config_overrides",

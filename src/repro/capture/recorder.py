@@ -5,21 +5,21 @@ writer.  Both block paths call them at the same points:
 :class:`~repro.runtime.pipeline.StreamingPipeline` (``repro record``)
 and :class:`~repro.serve.session.ServeSession` (``repro serve --record
 DIR``) each hold an optional recorder.  Each block is recorded at the
-tracker boundary, after the source ring and screening and before the
-tracker, and each health event, column and detection as it fires, so
-manifest events land in stream order.
+tracker boundary, after screening and before the tracker, and each
+health event, column and detection as it fires, so manifest events
+land in stream order.
 
 A capture therefore holds the delivered sample stream, not the offered
 one.  Upstream drops are not samples to re-deliver but :class:`gap
 events <repro.runtime.pipeline.GapEvent>` to re-enact: the pipeline
-records the gap its own ``_check_gap`` attributes, and replay resets
-the tracker before the chunk that gap is charged to, as the live
+records the drop each block carries from the receive stream, and
+replay resets the tracker before that block's chunk, as the live
 pipeline did.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -29,6 +29,9 @@ from repro.runtime.tracker import SpectrogramColumn
 from repro.encoding import floats_to_bytes, pack_floats
 
 import zlib
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.faults.schedule import FaultSchedule
 
 # Manifest event kinds written by the recorder (and consumed by the
 # replayer / determinism gate).
@@ -116,24 +119,21 @@ class CaptureRecorder:
     # Provenance
     # ------------------------------------------------------------------
 
-    def record_fault_schedule(self, schedule: Any) -> None:
-        """The injected fault schedule (a ``FaultSchedule`` or dict)."""
-        if hasattr(schedule, "events"):
-            payload = {
-                "seed": getattr(schedule, "seed", None),
-                "duration_s": getattr(schedule, "duration_s", None),
-                "events": [
-                    {
-                        "kind": event.kind,
-                        "start_s": event.start_s,
-                        "duration_s": event.duration_s,
-                        "magnitude": event.magnitude,
-                    }
-                    for event in schedule.events
-                ],
-            }
-        else:
-            payload = dict(schedule)
+    def record_fault_schedule(self, schedule: FaultSchedule) -> None:
+        """The injected fault schedule."""
+        payload = {
+            "seed": schedule.seed,
+            "duration_s": schedule.duration_s,
+            "events": [
+                {
+                    "kind": event.kind,
+                    "start_s": event.start_s,
+                    "duration_s": event.duration_s,
+                    "magnitude": event.magnitude,
+                }
+                for event in schedule.events
+            ],
+        }
         self.writer.append_event(EVENT_FAULT_SCHEDULE, schedule=payload)
 
     # ------------------------------------------------------------------

@@ -9,13 +9,10 @@ reset the live pipeline performed — and the **determinism gate**
 recorded original bit for bit (``np.array_equal``; the comparison is
 on the raw float64 bytes, which is the same predicate made NaN-safe).
 
-Three consumers drive replays:
+Two consumers drive replays:
 
 * :func:`replay_columns` — a bare :class:`~repro.runtime.tracker.
   StreamingTracker`, the cheapest gate.
-* :func:`replay_pipeline` — a full :class:`~repro.runtime.pipeline.
-  StreamingPipeline` over :class:`ReplayBlockSource`, so health
-  machines and detectors re-fire too.
 * :func:`replay_serve` — the capture pushed through a *live*
   :class:`~repro.serve.server.SensingServer` session over the socket,
   closing the loop end to end: record once, replay anywhere, same
@@ -33,13 +30,11 @@ import asyncio
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
 from repro.capture.format import (
     BUNDLE_SUFFIX,
-    CaptureChunk,
     CaptureHeader,
     CaptureReader,
     write_bundle,
@@ -52,12 +47,6 @@ from repro.errors import (
     CaptureIntegrityError,
     ProtocolError,
 )
-from repro.runtime.pipeline import (
-    DetectStage,
-    StreamingPipeline,
-    StreamResult,
-)
-from repro.runtime.ring import SampleBlock, SampleRingBuffer
 from repro.runtime.tracker import SpectrogramColumn, StreamingTracker
 from repro.serve.client import AsyncServeClient
 from repro.serve.session import CONFIGURABLE_FIELDS
@@ -150,76 +139,6 @@ def replay_columns(
             tracker.reset()
         columns.extend(tracker.push(chunk.samples))
     return columns
-
-
-class ReplayBlockSource:
-    """A block source replaying a capture's delivered stream.
-
-    Source-compatible with :class:`~repro.runtime.ring.BlockSource`
-    (``poll``/``drain``/``ring``/``exhausted``), so it drops into a
-    :class:`~repro.runtime.pipeline.StreamingPipeline` unchanged.  Each
-    poll emits one recorded chunk (streaming; nothing pre-loaded), and
-    a chunk that carried a recorded gap bumps the ring's drop counter
-    first — the pipeline's own gap check then re-performs the tracker
-    reset at exactly the recorded stream position.
-    """
-
-    def __init__(self, reader: CaptureReader):
-        self.reader = reader
-        self._chunks: Iterator[CaptureChunk] = reader.iter_chunks()
-        self._gaps = gap_map(reader)
-        # Accounting-only ring: replay never re-buffers (the recorded
-        # chunks already *are* the delivered blocks), but the pipeline
-        # reads drop counters off this object to detect gaps.
-        self.ring = SampleRingBuffer(1)
-        self.emitted_block_count = 0
-        self._done = False
-
-    @property
-    def exhausted(self) -> bool:
-        return self._done
-
-    def poll(self) -> list[SampleBlock]:
-        try:
-            chunk = next(self._chunks)
-        except StopIteration:
-            self._done = True
-            return []
-        dropped = self._gaps.get(chunk.start_index, 0)
-        if dropped:
-            self.ring.dropped_sample_count += dropped
-            self.ring.overflow_count += 1
-        self.emitted_block_count += 1
-        return [SampleBlock(samples=chunk.samples, start_index=chunk.start_index)]
-
-    def drain(self) -> Iterator[SampleBlock]:
-        while True:
-            blocks = self.poll()
-            if not blocks:
-                return
-            yield from blocks
-
-
-def replay_pipeline(
-    reader: CaptureReader, detector: DetectStage | None = None
-) -> StreamResult:
-    """Replay through a full pipeline: columns, detections, health.
-
-    The condition stage re-screens every block, so health transitions
-    re-fire; the default detector re-runs the capture's configured
-    geometry.  Pass ``detector=None`` via an explicit
-    :class:`DetectStage` of your own to change detection policy.
-    """
-    header = reader.header
-    tracker = tracker_for(header)
-    if detector is None:
-        detector = DetectStage(theta_grid_deg=tracker.config.theta_grid_deg)
-    pipeline = StreamingPipeline(
-        source=ReplayBlockSource(reader),
-        tracker=tracker,
-        detector=detector,
-    )
-    return pipeline.run()
 
 
 def serve_config_overrides(header: CaptureHeader) -> dict[str, float | int]:

@@ -314,6 +314,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
         StreamingPipeline,
         StreamingTracker,
     )
+    from repro.runtime.tracker import ring_capacity_for
 
     rng = np.random.default_rng(args.seed)
     room = stata_conference_room_small()
@@ -336,10 +337,13 @@ def cmd_stream(args: argparse.Namespace) -> int:
 
     rate = device.config.timeseries.sample_rate_hz
     streamer = RxStreamer(max_buffers=args.max_buffers)
-    source = BlockSource(streamer, block_size=args.block_size)
-    tracker = StreamingTracker(device.config.tracking, use_music=not args.beamforming)
+    tracker = StreamingTracker(
+        device.config.tracking,
+        use_music=not args.beamforming,
+        ring_capacity=ring_capacity_for(device.config.tracking, args.block_size),
+    )
     pipeline = StreamingPipeline(
-        source, tracker, detector=DetectStage(tracker.config.theta_grid_deg)
+        BlockSource(streamer), tracker, detector=DetectStage(tracker.config.theta_grid_deg)
     )
 
     detections = 0
@@ -376,7 +380,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
             chunk = samples[offset : offset + args.block_size]
             if args.realtime:
                 _time.sleep(len(chunk) / rate)
-            streamer.push(chunk, rate)
+            streamer.push(chunk)
             for event in pipeline.process():
                 show(event)
         streamer.close()
@@ -392,10 +396,10 @@ def cmd_stream(args: argparse.Namespace) -> int:
     )
     for line in pipeline.metrics.describe():
         out(f"  {line}")
-    if source.ring.dropped_sample_count or streamer.overflow_count:
+    if streamer.overflow_count:
         out(
             f"  backpressure: {streamer.overflow_count} streamer overflows, "
-            f"{source.ring.dropped_sample_count} ring samples dropped"
+            f"{streamer.dropped_sample_count} samples dropped"
         )
     if injector is not None:
         for entry in injector.log:
@@ -733,6 +737,7 @@ def cmd_record(args: argparse.Namespace) -> int:
         StreamingPipeline,
         StreamingTracker,
     )
+    from repro.runtime.tracker import ring_capacity_for
 
     rng = np.random.default_rng(args.seed)
     room = stata_conference_room_small()
@@ -758,12 +763,14 @@ def cmd_record(args: argparse.Namespace) -> int:
     ]
     store = CaptureStore(args.store)
     config = device.config.tracking
+    ring_capacity = ring_capacity_for(config, args.block_size)
     writer = store.create(
         source="stream",
         config=config,
         sample_rate_hz=device.config.timeseries.sample_rate_hz,
         seed=args.seed,
         use_music=True,
+        ring_capacity=ring_capacity,
         extra={
             "humans": args.humans,
             "duration_s": args.duration,
@@ -773,8 +780,8 @@ def cmd_record(args: argparse.Namespace) -> int:
     )
     recorder = CaptureRecorder(writer)
     pipeline = StreamingPipeline(
-        BlockSource(iter(chunks), block_size=args.block_size),
-        StreamingTracker(config),
+        BlockSource(iter(chunks)),
+        StreamingTracker(config, ring_capacity=ring_capacity),
         detector=DetectStage(config.theta_grid_deg),
         recorder=recorder,
     )

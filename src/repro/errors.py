@@ -8,7 +8,8 @@ covariance is ill-conditioned (§5).  A production pipeline needs to
 *name* those failures so the recovery layer can dispatch on them
 instead of pattern-matching strings.  Faults at the radio boundary are
 not exceptions: block screening turns NaN bursts, dead air and
-clipping into health events, and ring drops surface as stream gaps.
+clipping into health events, and receive-stream drops surface as
+stream gaps.
 
 Hierarchy::
 

@@ -1,39 +1,36 @@
-"""A UHD-style streaming interface over the simulated radios.
+"""A UHD-style receive stream over the simulated radios.
 
 The prototype implements "MIMO nulling ... directly into the UHD
 driver, so that it is performed in real-time" (§7.1).  This module
-provides the driver-shaped surface that such an implementation talks
-to: timestamped sample buffers, receive/transmit streamers with
-bounded buffering, and overflow accounting — so the nulling controller
-can be exercised the way it runs on hardware, burst by burst, instead
-of against whole-trace arrays.
+provides the UHD-shaped surface that such an implementation reads
+from: a bounded receive stream with overflow accounting, so the
+runtime can be exercised the way it runs on hardware, buffer by
+buffer, instead of against whole-trace arrays.
+
+It is the runtime's one drop point.  When the consumer falls behind,
+the stream evicts its oldest buffer and charges the lost samples to
+the next buffer it delivers, which is where the hole in the stream is.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 
 @dataclass(frozen=True)
-class StreamMetadata:
-    """Metadata attached to every streamed buffer (UHD's rx_metadata)."""
-
-    timestamp_s: float
-    num_samples: int
-    overflow: bool = False
-    end_of_burst: bool = False
-
-
-@dataclass
 class StreamBuffer:
-    """One timestamped chunk of complex baseband samples."""
+    """One chunk of complex baseband samples, as ``recv`` delivers it.
+
+    ``dropped_before`` counts the samples the stream evicted between
+    the previously delivered buffer and this one (0 when the two are
+    contiguous): the UHD 'O', reported on the buffer after the hole.
+    """
 
     samples: np.ndarray
-    metadata: StreamMetadata
+    dropped_before: int = 0
 
 
 class RxStreamer:
@@ -42,19 +39,19 @@ class RxStreamer:
     A producer (the channel simulator) pushes buffers; the consumer
     (signal processing) pulls them.  When the consumer falls behind and
     the queue overflows, the oldest buffer is dropped and the next
-    delivered buffer is flagged ``overflow=True`` — the UHD 'O' you see
-    on a struggling host (the reason the prototype runs at 5 MHz
-    rather than 20 MHz, §7.1).
+    delivered buffer carries the loss as ``dropped_before`` — the UHD
+    'O' you see on a struggling host (the reason the prototype runs at
+    5 MHz rather than 20 MHz, §7.1).
     """
 
     def __init__(self, max_buffers: int = 16):
         if max_buffers < 1:
             raise ValueError("need at least one buffer slot")
-        self._queue: deque[StreamBuffer] = deque()
+        self._queue: deque[np.ndarray] = deque()
         self._max_buffers = max_buffers
-        self._overflowed = False
         self._closed = False
-        self._clock_s = 0.0
+        # Samples evicted since the last delivered buffer.
+        self._pending_drop = 0
         #: Buffers evicted by overflow.
         self.overflow_count = 0
         #: Samples lost inside those evicted buffers — the quantity a
@@ -67,40 +64,32 @@ class RxStreamer:
         #: Samples actually handed to the consumer.
         self.delivered_sample_count = 0
 
-    def drop_oldest(self) -> StreamBuffer | None:
+    def drop_oldest(self) -> np.ndarray | None:
         """Evict the oldest queued buffer, charging the loss counters.
 
         Used internally on producer overflow and externally by fault
         injection (an overflow storm is a burst of host-side drops).
-        Returns the evicted buffer, or None if the queue is empty.
+        The next buffer :meth:`recv` delivers carries the loss.
+        Returns the evicted samples, or None if the queue is empty.
         """
         if not self._queue:
             return None
         victim = self._queue.popleft()
-        self._overflowed = True
         self.overflow_count += 1
-        self.dropped_sample_count += victim.metadata.num_samples
+        self.dropped_sample_count += len(victim)
+        self._pending_drop += len(victim)
         return victim
 
-    def push(self, samples: np.ndarray, sample_rate_hz: float) -> None:
-        """Producer side: append a chunk at the stream clock."""
+    def push(self, samples: np.ndarray) -> None:
+        """Producer side: append a chunk, evicting the oldest when full."""
         if self._closed:
             raise ValueError("cannot push to a closed stream")
         samples = np.asarray(samples, dtype=complex)
         if samples.ndim != 1 or len(samples) == 0:
             raise ValueError("samples must be a non-empty 1-D array")
-        if sample_rate_hz <= 0:
-            raise ValueError("sample rate must be positive")
         if len(self._queue) >= self._max_buffers:
             self.drop_oldest()
-        metadata = StreamMetadata(
-            timestamp_s=self._clock_s,
-            num_samples=len(samples),
-            overflow=self._overflowed,
-        )
-        self._overflowed = False
-        self._queue.append(StreamBuffer(samples=samples, metadata=metadata))
-        self._clock_s += len(samples) / sample_rate_hz
+        self._queue.append(samples)
 
     def close(self) -> None:
         """Producer side: no more buffers are coming.
@@ -111,106 +100,25 @@ class RxStreamer:
         """
         self._closed = True
 
-    @property
-    def closed(self) -> bool:
-        """Whether the producer has announced end of stream."""
-        return self._closed
-
-    @property
-    def exhausted(self) -> bool:
-        """Closed and fully drained: the consumer can shut down."""
-        return self._closed and not self._queue
-
     def recv(self) -> StreamBuffer | None:
         """Consumer side: pop the oldest buffer (None when starved).
 
-        A starved read is *accounted* (``starved_read_count``) so
-        consumers can tell underrun (they outpace the producer) from
-        overflow (the producer outpaces them) when diagnosing gaps —
-        unless the stream is closed, in which case an empty queue is
-        orderly shutdown, not starvation.
+        The buffer carries the samples evicted since the previous one
+        was delivered.  A starved read is *accounted*
+        (``starved_read_count``) so consumers can tell underrun (they
+        outpace the producer) from overflow (the producer outpaces
+        them) when diagnosing gaps — unless the stream is closed, in
+        which case an empty queue is orderly shutdown, not starvation.
         """
         if not self._queue:
             if not self._closed:
                 self.starved_read_count += 1
             return None
-        buffer = self._queue.popleft()
-        self.delivered_sample_count += buffer.metadata.num_samples
+        samples = self._queue.popleft()
+        self.delivered_sample_count += len(samples)
+        buffer = StreamBuffer(samples=samples, dropped_before=self._pending_drop)
+        self._pending_drop = 0
         return buffer
 
     def __len__(self) -> int:
         return len(self._queue)
-
-
-class TxStreamer:
-    """A transmit stream: buffers queued for radiation, with a hook the
-    simulator uses to pick them up."""
-
-    def __init__(self):
-        self._queue: deque[StreamBuffer] = deque()
-        self._clock_s = 0.0
-        self.sent_sample_count = 0
-
-    def send(
-        self, samples: np.ndarray, sample_rate_hz: float, end_of_burst: bool = False
-    ) -> None:
-        samples = np.asarray(samples, dtype=complex)
-        if samples.ndim != 1 or len(samples) == 0:
-            raise ValueError("samples must be a non-empty 1-D array")
-        if sample_rate_hz <= 0:
-            raise ValueError("sample rate must be positive")
-        metadata = StreamMetadata(
-            timestamp_s=self._clock_s,
-            num_samples=len(samples),
-            end_of_burst=end_of_burst,
-        )
-        self._queue.append(StreamBuffer(samples=samples, metadata=metadata))
-        self._clock_s += len(samples) / sample_rate_hz
-        self.sent_sample_count += len(samples)
-
-    def pop_burst(self) -> list[StreamBuffer]:
-        """Simulator side: drain buffers up to (and including) the next
-        end-of-burst marker."""
-        burst: list[StreamBuffer] = []
-        while self._queue:
-            buffer = self._queue.popleft()
-            burst.append(buffer)
-            if buffer.metadata.end_of_burst:
-                break
-        return burst
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-
-@dataclass
-class StreamProcessor:
-    """Pulls RX buffers and feeds a per-chunk callback — the shape of
-    the real-time processing loop in the UHD driver.
-
-    Attributes:
-        callback: called with (samples, metadata) per buffer.
-        drop_on_overflow: when True, a buffer flagged ``overflow`` also
-            resets any state via the optional ``on_overflow`` hook
-            (phase-continuous processing cannot survive a gap).
-    """
-
-    callback: Callable[[np.ndarray, StreamMetadata], None]
-    on_overflow: Callable[[], None] | None = None
-    processed_samples: int = 0
-    seen_overflows: int = 0
-
-    def drain(self, streamer: RxStreamer) -> int:
-        """Process everything currently queued; returns buffers handled."""
-        handled = 0
-        while True:
-            buffer = streamer.recv()
-            if buffer is None:
-                return handled
-            if buffer.metadata.overflow:
-                self.seen_overflows += 1
-                if self.on_overflow is not None:
-                    self.on_overflow()
-            self.callback(buffer.samples, buffer.metadata)
-            self.processed_samples += buffer.metadata.num_samples
-            handled += 1

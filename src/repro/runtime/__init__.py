@@ -1,8 +1,8 @@
 """repro.runtime — the online streaming sensing engine.
 
 The offline pipeline answers "what happened in this 25 s trace"; this
-package answers it *while the trace is still arriving*: bounded sample
-buffering with overflow accounting (:mod:`~repro.runtime.ring`),
+package answers it *while the trace is still arriving*: sample blocks
+that carry the receive stream's drops (:mod:`~repro.runtime.ring`),
 incremental sliding-window spectrogram estimation that matches the
 batch pipeline bit for bit (:mod:`~repro.runtime.tracker`), a stage
 graph with per-stage latency/throughput metrics and mid-stream health

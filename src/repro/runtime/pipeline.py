@@ -67,7 +67,7 @@ class HealthEvent:
 
 @dataclass(frozen=True)
 class GapEvent:
-    """The source ring dropped samples: signal time vanished.
+    """The receive stream dropped samples just before ``block_index``.
 
     The tracker is reset when a gap lands — phase continuity does not
     survive missing samples, so windows restart cleanly after the gap.
@@ -104,7 +104,7 @@ class ConditionStage:
     def process(self, block: SampleBlock) -> list[HealthEvent]:
         """Screen one block; report the health transitions it caused."""
         health = screen_block(block.samples)
-        transitions_before = len(self.machine.transitions)
+        before = len(self.machine.transitions)
         if health.beyond_repair:
             self.bad_block_count += 1
             self.machine.record_bad(
@@ -120,13 +120,18 @@ class ConditionStage:
             )
         else:
             self.machine.record_good()
+        return self.events_since(before, block.start_index)
+
+    def events_since(self, before: int, block_index: int) -> list[HealthEvent]:
+        """The machine's transitions from number ``before`` on, as
+        events of the block starting at ``block_index``."""
         return [
             HealthEvent(
-                block_index=block.start_index,
+                block_index=block_index,
                 state=transition.target,
                 reason=transition.reason,
             )
-            for transition in self.machine.transitions[transitions_before:]
+            for transition in self.machine.transitions[before:]
         ]
 
 
@@ -231,7 +236,6 @@ class StreamingPipeline:
         self.metrics = RuntimeMetrics()
         # Share the tracker's own metrics object under its stage name.
         self.metrics.stages["track"] = tracker.metrics
-        self._dropped_seen = 0
 
     @property
     def health(self) -> DeviceHealth:
@@ -264,17 +268,6 @@ class StreamingPipeline:
                 self.sink(event)
         return event
 
-    def _check_gap(self, block_index: int) -> GapEvent | None:
-        dropped = self.source.ring.dropped_sample_count
-        if dropped == self._dropped_seen:
-            return None
-        gap = GapEvent(
-            block_index=block_index, dropped_samples=dropped - self._dropped_seen
-        )
-        self._dropped_seen = dropped
-        self.tracker.reset()
-        return gap
-
     def process(self):
         """Generator over stream events, in order, until source end.
 
@@ -286,42 +279,42 @@ class StreamingPipeline:
         recorder = self.recorder
         while True:
             with StageTimer(self.metrics.stage("source")) as source_timer:
-                blocks = self.source.poll()
-                source_timer.items_out = sum(len(b) for b in blocks)
-            if not blocks:
+                block = self.source.poll()
+                source_timer.items_out = 0 if block is None else len(block)
+            if block is None:
                 return
-            for block in blocks:
-                gap = self._check_gap(block.start_index)
-                if gap is not None:
-                    if recorder is not None:
-                        recorder.record_gap(gap)
-                    yield self._deliver(gap)
-                with StageTimer(
-                    self.metrics.stage("condition"), items_in=len(block)
-                ) as timer:
-                    health_events = self.condition.process(block)
-                    timer.items_out = len(block)
+            if block.dropped_before:
+                gap = GapEvent(block.start_index, block.dropped_before)
+                self.tracker.reset()
                 if recorder is not None:
-                    recorder.record_block(block.samples, block.start_index)
-                    for event in health_events:
-                        recorder.record_health(event)
+                    recorder.record_gap(gap)
+                yield self._deliver(gap)
+            with StageTimer(
+                self.metrics.stage("condition"), items_in=len(block)
+            ) as timer:
+                health_events = self.condition.process(block)
+                timer.items_out = len(block)
+            if recorder is not None:
+                recorder.record_block(block.samples, block.start_index)
                 for event in health_events:
-                    yield self._deliver(event)
-                columns = self.tracker.push(block.samples)
-                for column in columns:
-                    if recorder is not None:
-                        recorder.record_column(column)
-                    yield self._deliver(ColumnEvent(column))
-                    if self.detector is not None:
-                        with StageTimer(
-                            self.metrics.stage("detect"), items_in=1
-                        ) as timer:
-                            detection = self.detector.process(column)
-                            timer.items_out = 0 if detection is None else 1
-                        if detection is not None:
-                            if recorder is not None:
-                                recorder.record_detection(detection)
-                            yield self._deliver(detection)
+                    recorder.record_health(event)
+            for event in health_events:
+                yield self._deliver(event)
+            columns = self.tracker.push(block.samples)
+            for column in columns:
+                if recorder is not None:
+                    recorder.record_column(column)
+                yield self._deliver(ColumnEvent(column))
+                if self.detector is not None:
+                    with StageTimer(
+                        self.metrics.stage("detect"), items_in=1
+                    ) as timer:
+                        detection = self.detector.process(column)
+                        timer.items_out = 0 if detection is None else 1
+                    if detection is not None:
+                        if recorder is not None:
+                            recorder.record_detection(detection)
+                        yield self._deliver(detection)
 
     def run(self) -> StreamResult:
         """Drain the stream and collect everything it produced."""

@@ -1,21 +1,20 @@
-"""Bounded sample buffering between the radio and the DSP stages.
+"""Sample buffering between the radio and the DSP stages.
 
-The online engine cannot hold a whole 25 s trace: it owns a fixed
-budget of samples (:class:`SampleRingBuffer`) and a policy for what
-happens when the producer outruns the consumer — drop the oldest
-samples and *account* for them, the software twin of the UHD 'O'
-overflow that forced the prototype down to 5 MHz (§7.1).
+:class:`BlockSource` turns each buffer an upstream producer delivers —
+an :class:`repro.hardware.streaming.RxStreamer` or a plain iterator of
+sample chunks — into one :class:`SampleBlock` for the pipeline stages,
+carrying the drop the stream reported just before it.  The stream is
+the one place samples vanish (the software twin of the UHD 'O'
+overflow that forced the prototype down to 5 MHz, §7.1).
 
-:class:`BlockSource` adapts any producer — an
-:class:`repro.hardware.streaming.RxStreamer` or a plain iterator of
-sample chunks — into the fixed-size blocks the pipeline stages consume,
-with the ring buffer in between carrying the backpressure accounting.
+:class:`SampleRingBuffer` is the tracker's window buffer: a
+fixed-capacity ring that refuses samples it cannot hold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -25,13 +24,11 @@ from repro.hardware.streaming import RxStreamer
 class SampleRingBuffer:
     """A fixed-capacity ring of complex channel samples.
 
-    Writes past capacity evict the oldest samples ("drop oldest", the
-    policy of a real DMA ring) and charge them to
-    ``dropped_sample_count`` — the quantity a consumer needs to know
-    how much signal time vanished.  Reads are split into ``peek``
-    (copy out the oldest ``n`` without consuming) and ``consume``
-    (advance the read pointer), because a sliding-window consumer
-    re-reads most of each window: peek ``window``, consume ``hop``.
+    A push that does not fit is refused whole; nothing is ever evicted.
+    Reads are split into ``peek`` (copy out the oldest ``n`` without
+    consuming) and ``consume`` (advance the read pointer), because a
+    sliding-window consumer re-reads most of each window: peek
+    ``window``, consume ``hop``.
     """
 
     def __init__(self, capacity: int):
@@ -40,14 +37,6 @@ class SampleRingBuffer:
         self._buffer = np.empty(capacity, dtype=complex)
         self._start = 0
         self._size = 0
-        #: Samples ever accepted (including later-dropped ones).
-        self.total_pushed = 0
-        #: Samples ever handed out by :meth:`consume`.
-        self.total_consumed = 0
-        #: Samples evicted by overflow.
-        self.dropped_sample_count = 0
-        #: Push calls that had to evict at least one sample.
-        self.overflow_count = 0
 
     @property
     def capacity(self) -> int:
@@ -60,45 +49,29 @@ class SampleRingBuffer:
     def __len__(self) -> int:
         return self._size
 
-    def push(self, samples: np.ndarray) -> int:
-        """Append samples, evicting the oldest on overflow.
+    def push(self, samples: np.ndarray) -> None:
+        """Append samples.
 
-        Returns the number of samples dropped (0 in the healthy case).
-        A chunk larger than the whole ring keeps only its newest
-        ``capacity`` samples; the rest count as dropped on arrival.
+        Raises:
+            ValueError: the samples are not one-dimensional, or do not
+                fit the free space.
         """
         samples = np.asarray(samples, dtype=complex)
         if samples.ndim != 1:
             raise ValueError("samples must be one-dimensional")
         incoming = len(samples)
-        if incoming == 0:
-            return 0
-        self.total_pushed += incoming
-
-        dropped = 0
-        if incoming > self.capacity:
-            dropped = incoming - self.capacity
-            samples = samples[dropped:]
-            incoming = self.capacity
-        overflow = max(incoming - self.free_space, 0)
-        dropped += overflow
-        if dropped:
-            # Account the loss *before* evicting or overwriting anything:
-            # a reader that observes the ring mid-push must never see
-            # samples vanish while the drop counter still reads low.
-            self.overflow_count += 1
-            self.dropped_sample_count += dropped
-        if overflow:
-            self._start = (self._start + overflow) % self.capacity
-            self._size -= overflow
-
+        if incoming > self.free_space:
+            raise ValueError(
+                f"block of {incoming} samples cannot fit the ring (capacity "
+                f"{self.capacity}, {self._size} buffered); use smaller blocks "
+                "or a larger ring_capacity"
+            )
         write = (self._start + self._size) % self.capacity
         first = min(incoming, self.capacity - write)
         self._buffer[write : write + first] = samples[:first]
         if first < incoming:
             self._buffer[: incoming - first] = samples[first:]
         self._size += incoming
-        return dropped
 
     def peek(self, n: int) -> np.ndarray:
         """Copy out the oldest ``n`` samples without consuming them.
@@ -127,131 +100,59 @@ class SampleRingBuffer:
             )
         self._start = (self._start + n) % self.capacity
         self._size -= n
-        self.total_consumed += n
-
-    def read(self, n: int) -> np.ndarray:
-        """Peek and consume in one step."""
-        out = self.peek(n)
-        self.consume(n)
-        return out
 
 
 @dataclass(frozen=True)
 class SampleBlock:
-    """One fixed-size chunk of the delivered sample stream.
+    """One delivered chunk of the sample stream.
 
-    ``start_index`` counts *delivered* samples from stream start; when
-    the ring dropped samples upstream, the indices simply continue (the
-    gap is visible in the source's drop accounting, not in the index).
+    ``start_index`` counts *delivered* samples from stream start, so
+    the indices continue across a drop; ``dropped_before`` counts the
+    samples that vanished upstream just before this block (0 when the
+    stream is contiguous).
     """
 
     samples: np.ndarray
     start_index: int
+    dropped_before: int = 0
 
     def __len__(self) -> int:
         return len(self.samples)
 
 
 class BlockSource:
-    """Re-blocks an upstream sample producer through a bounded ring.
+    """Delivers each upstream buffer as one :class:`SampleBlock`.
 
-    Upstream is either an :class:`RxStreamer` (pull ``recv`` until the
-    stream is exhausted) or any iterable of 1-D sample arrays.  Each
-    :meth:`poll` drains what the upstream currently offers into the
-    ring and cuts as many full ``block_size`` blocks as possible; after
-    the upstream ends, the final partial block (if any) is flushed so
-    no tail samples are lost.
-
-    Overflow policy: the ring drops oldest; drops are visible via
-    ``ring.dropped_sample_count`` and surface as a gap in signal time
-    without perturbing block indices.
+    Upstream is either an :class:`RxStreamer`, whose buffers report the
+    samples it evicted before them, or any iterable of non-empty 1-D
+    sample arrays.  The pipeline pulls from an iterable, so an iterable
+    can never overrun and its blocks carry no drop.
     """
 
-    def __init__(
-        self,
-        upstream: RxStreamer | Iterable[np.ndarray],
-        block_size: int,
-        ring_capacity: int | None = None,
-    ):
-        if block_size < 1:
-            raise ValueError("block size must be positive")
-        self.block_size = block_size
-        capacity = ring_capacity if ring_capacity is not None else 8 * block_size
-        if capacity < block_size:
-            raise ValueError("ring capacity must hold at least one block")
-        self.ring = SampleRingBuffer(capacity)
-        self._streamer: RxStreamer | None = None
-        self._iterator: Iterator[np.ndarray] | None = None
-        if isinstance(upstream, RxStreamer):
-            self._streamer = upstream
-        else:
-            self._iterator = iter(upstream)
-        self._upstream_done = False
+    def __init__(self, upstream: RxStreamer | Iterable[np.ndarray]):
+        self._streamer = upstream if isinstance(upstream, RxStreamer) else None
+        self._chunks = None if self._streamer is not None else iter(upstream)
         self._next_index = 0
-        #: Blocks emitted so far.
-        self.emitted_block_count = 0
 
-    @property
-    def exhausted(self) -> bool:
-        """Upstream ended and every buffered sample has been emitted."""
-        return self._upstream_done and len(self.ring) == 0
+    def poll(self) -> SampleBlock | None:
+        """The next upstream buffer as a block; None when none is ready.
 
-    def _pull_once(self) -> bool:
-        """Fetch one upstream chunk into the ring; False when none came."""
-        if self._upstream_done:
-            return False
+        With an open :class:`RxStreamer` upstream, None only means the
+        stream is empty for now; a later poll continues it.
+        """
+        dropped = 0
         if self._streamer is not None:
             buffer = self._streamer.recv()
             if buffer is None:
-                if self._streamer.exhausted:
-                    self._upstream_done = True
-                return False
-            self.ring.push(buffer.samples)
-            return True
-        try:
-            chunk = next(self._iterator)
-        except StopIteration:
-            self._upstream_done = True
-            return False
-        self.ring.push(np.asarray(chunk, dtype=complex))
-        return True
-
-    def _cut_blocks(self, include_partial: bool) -> list[SampleBlock]:
-        blocks: list[SampleBlock] = []
-        while len(self.ring) >= self.block_size:
-            blocks.append(self._emit(self.ring.read(self.block_size)))
-        if include_partial and len(self.ring) > 0:
-            blocks.append(self._emit(self.ring.read(len(self.ring))))
-        return blocks
-
-    def _emit(self, samples: np.ndarray) -> SampleBlock:
-        block = SampleBlock(samples=samples, start_index=self._next_index)
+                return None
+            samples, dropped = buffer.samples, buffer.dropped_before
+        else:
+            samples = next(self._chunks, None)
+            if samples is None:
+                return None
+            samples = np.asarray(samples, dtype=complex)
+            if samples.ndim != 1 or len(samples) == 0:
+                raise ValueError("sample chunks must be non-empty 1-D arrays")
+        block = SampleBlock(samples, self._next_index, dropped)
         self._next_index += len(samples)
-        self.emitted_block_count += 1
         return block
-
-    def poll(self) -> list[SampleBlock]:
-        """Emit every block currently formable.
-
-        Pulls upstream chunks until a block can be cut or the upstream
-        has nothing more to offer right now, then cuts all full blocks.
-        Once the upstream is exhausted the buffered tail is flushed as
-        one final partial block.
-        """
-        while len(self.ring) < self.block_size:
-            if not self._pull_once():
-                break
-        return self._cut_blocks(include_partial=self._upstream_done)
-
-    def drain(self) -> Iterator[SampleBlock]:
-        """Iterate blocks until the upstream is exhausted.
-
-        With an open :class:`RxStreamer` upstream this stops as soon as
-        the streamer runs empty (a pull-driven source cannot block);
-        close the streamer to mark true end of stream.
-        """
-        while True:
-            blocks = self.poll()
-            if not blocks:
-                return
-            yield from blocks

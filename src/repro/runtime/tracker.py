@@ -29,6 +29,13 @@ from repro.telemetry.metrics import StageMetrics, StageTimer
 from repro.runtime.ring import SampleRingBuffer
 
 
+def ring_capacity_for(config: TrackingConfig, max_block: int) -> int:
+    """A tracker ring that holds a block of up to ``max_block`` samples
+    on top of a window's carry, and never less than the default four
+    windows."""
+    return max(4 * config.window_size, config.window_size + max_block)
+
+
 @dataclass(frozen=True)
 class PendingWindow:
     """A filled window awaiting its spectrum estimate.
@@ -165,18 +172,6 @@ class StreamingTracker:
             return compute_spectrogram_frame(window, self.config)
         return compute_beamformed_frame(window, self.config)
 
-    def _validate(self, samples: np.ndarray) -> np.ndarray:
-        samples = np.asarray(samples, dtype=complex)
-        if samples.ndim != 1:
-            raise ValueError("samples must be one-dimensional")
-        if len(self.ring) + len(samples) > self.ring.capacity:
-            raise ValueError(
-                f"block of {len(samples)} samples cannot fit the tracker ring "
-                f"(capacity {self.ring.capacity}, {len(self.ring)} buffered); "
-                "use smaller blocks or a larger ring_capacity"
-            )
-        return samples
-
     def expected_windows(self, incoming: int) -> int:
         """Windows that would complete if ``incoming`` samples arrived.
 
@@ -195,13 +190,13 @@ class StreamingTracker:
         """Buffer a sample block without estimating anything.
 
         The first half of :meth:`push`, split out for consumers that
-        batch estimation elsewhere (the serving scheduler): validate,
-        append to the ring, account the samples.  Returns the number
-        of windows now ready for :meth:`poll_ready_windows`.
+        batch estimation elsewhere (the serving scheduler): append to
+        the ring, which refuses a block it cannot hold, and account the
+        samples.  Returns the number of windows now ready for
+        :meth:`poll_ready_windows`.
         """
-        samples = self._validate(samples)
-        self._samples_seen += len(samples)
         self.ring.push(samples)
+        self._samples_seen += len(samples)
         return self.expected_windows(0)
 
     def poll_ready_windows(self) -> list[PendingWindow]:
@@ -262,11 +257,9 @@ class StreamingTracker:
         estimator run inline, so the served path and this one walk
         identical window contents.
         """
-        samples = self._validate(samples)
         columns: list[SpectrogramColumn] = []
         with StageTimer(self.metrics, items_in=len(samples)) as timer:
-            self._samples_seen += len(samples)
-            self.ring.push(samples)
+            self.ingest(samples)
             for pending in self.poll_ready_windows():
                 columns.append(self.resolve(pending, self._estimate(pending.samples)))
             timer.items_out = len(columns)
@@ -325,15 +318,15 @@ class StreamingTracker:
         self._column_index = checkpoint.column_index
         self._samples_seen = checkpoint.samples_seen
 
-    def reset(self, next_start: int | None = None) -> None:
+    def reset(self) -> None:
         """Drop buffered state after a stream gap (phase continuity is
         lost across dropped samples; windows must restart cleanly).
 
-        ``next_start`` re-anchors the sample index of the next window;
-        by default indexing continues from the samples already seen.
+        The next window starts at the next sample to arrive: indexing
+        continues from the samples already seen.
         """
         self.ring.consume(len(self.ring))
-        self._next_start = next_start if next_start is not None else self._samples_seen
+        self._next_start = self._samples_seen
 
     @staticmethod
     def assemble(

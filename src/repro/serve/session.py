@@ -42,6 +42,7 @@ from repro.runtime.tracker import (
     PendingWindow,
     SpectrogramColumn,
     StreamingTracker,
+    ring_capacity_for,
 )
 from repro.core.tracking import SpectrogramFrame
 from repro.serve import protocol
@@ -107,6 +108,13 @@ class SessionStats:
 STATS_FIELDS = tuple(f.name for f in fields(SessionStats))
 
 
+def _counter(value: Any, name: str) -> int:
+    """A checkpoint counter: a non-negative JSON integer, never a bool."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, not {value!r}")
+    return value
+
+
 @dataclass
 class IngestResult:
     """What one accepted push produced (before estimation)."""
@@ -130,12 +138,11 @@ class ServeSession:
         self.config = config
         self.use_music = use_music
         self.resumable = resumable
-        ring_capacity = max(4 * config.window_size, config.window_size + protocol.MAX_PUSH_SAMPLES)
         self.tracker = StreamingTracker(
             config,
             start_time_s=start_time_s,
             use_music=use_music,
-            ring_capacity=ring_capacity,
+            ring_capacity=ring_capacity_for(config, protocol.MAX_PUSH_SAMPLES),
         )
         self.condition = ConditionStage()
         self.detector = DetectStage(theta_grid_deg=config.theta_grid_deg)
@@ -230,12 +237,14 @@ class ServeSession:
             )
             session.tracker.restore(tracker_cp)
             session.condition.machine.restore_state(checkpoint.get("health", {}))
-            session.condition.bad_block_count = int(checkpoint.get("bad_blocks", 0))
+            session.condition.bad_block_count = _counter(
+                checkpoint.get("bad_blocks", 0), "bad_blocks"
+            )
             stats = checkpoint.get("stats", {})
             if not isinstance(stats, dict):
                 raise ValueError("stats must be a JSON object")
             for name in STATS_FIELDS:
-                setattr(session.stats, name, int(stats.get(name, 0)))
+                setattr(session.stats, name, _counter(stats.get(name, 0), name))
             last_seq = checkpoint.get("last_seq", 0)
             if isinstance(last_seq, bool) or not isinstance(last_seq, int):
                 raise ValueError("last_seq must be an integer")
@@ -274,25 +283,18 @@ class ServeSession:
                 session.
         """
         block = SampleBlock(samples=samples, start_index=self.tracker.samples_seen)
-        machine = self.condition.machine
-        before = len(machine.transitions)
-        bad_before = self.condition.bad_block_count
-        self.condition.process(block)
+        condition = self.condition
+        bad_before = condition.bad_block_count
+        events = condition.process(block)
         if (
             self.health is DeviceHealth.RECALIBRATING
-            and self.condition.bad_block_count > bad_before
+            and condition.bad_block_count > bad_before
         ):
-            machine.recalibration_failed(
+            before = len(condition.machine.transitions)
+            condition.machine.recalibration_failed(
                 f"session {self.id} has no radio to recalibrate"
             )
-        events = [
-            HealthEvent(
-                block_index=block.start_index,
-                state=transition.target,
-                reason=transition.reason,
-            )
-            for transition in machine.transitions[before:]
-        ]
+            events += condition.events_since(before, block.start_index)
         if self.health is DeviceHealth.FAILED:
             raise DeviceFailedError(
                 f"session {self.id} health machine reached FAILED"
@@ -362,9 +364,9 @@ class ServeSession:
         """The session as the observe gateway's ``/api/sessions`` reports it.
 
         Read-only operator view: health-machine state, idempotent-seq
-        progress, throughput accounting, and the drop/degradation
-        counters (ring overwrites, screened-bad blocks, shed pushes)
-        an operator triages a session with.
+        progress, throughput accounting, and the degradation counters
+        (screened-bad blocks, shed pushes) an operator triages a
+        session with.
         """
         return {
             "session": self.id,
@@ -377,7 +379,6 @@ class ServeSession:
             "last_seq": self.last_seq,
             **self.stats.snapshot(),
             "bad_blocks": self.condition.bad_block_count,
-            "ring_dropped_samples": self.tracker.ring.dropped_sample_count,
             "recording": self.recorder is not None,
             "dsp_backend": self.tracker.dsp_backend,
         }

@@ -7,7 +7,14 @@ import pytest
 
 from repro.capture import CaptureRecorder, CaptureStore
 from repro.core.tracking import TrackingConfig
-from repro.runtime import BlockSource, DetectStage, StreamingPipeline, StreamingTracker
+from repro.hardware.streaming import RxStreamer
+from repro.runtime import (
+    BlockSource,
+    DetectStage,
+    GapEvent,
+    StreamingPipeline,
+    StreamingTracker,
+)
 from repro.telemetry.context import reset_telemetry
 
 from tests.helpers import FAST, synthetic_trace
@@ -55,21 +62,18 @@ def record_pipeline(
     samples: np.ndarray,
     config: TrackingConfig,
     block_size: int = 50,
-    chunk_size: int | None = None,
-    ring_capacity: int | None = None,
+    pushes_per_read: int = 1,
     source: str = "stream",
 ):
     """Record ``samples`` through a full streaming pipeline's recorder.
 
-    ``chunk_size`` sets the upstream delivery granularity; push chunks
-    larger than ``ring_capacity`` to force drops (recorded gaps).
-    Returns ``(capture_id, StreamResult)``.
+    The samples reach the pipeline in ``block_size`` buffers through a
+    2-deep :class:`RxStreamer` that is read after every
+    ``pushes_per_read`` pushes; more than 2 overruns the stream, and
+    each overrun is a recorded gap.  Returns ``(capture_id, gaps)``,
+    the :class:`GapEvent` list the pipeline raised.
     """
-    chunk_size = chunk_size if chunk_size is not None else block_size
-    chunks = [
-        samples[offset : offset + chunk_size]
-        for offset in range(0, len(samples), chunk_size)
-    ]
+    streamer = RxStreamer(max_buffers=2)
     writer = store.create(
         source=source,
         config=config,
@@ -77,11 +81,16 @@ def record_pipeline(
     )
     recorder = CaptureRecorder(writer)
     pipeline = StreamingPipeline(
-        BlockSource(iter(chunks), block_size, ring_capacity=ring_capacity),
+        BlockSource(streamer),
         StreamingTracker(config),
         detector=DetectStage(config.theta_grid_deg),
         recorder=recorder,
     )
+    events = []
     with recorder:
-        result = pipeline.run()
-    return writer.header.capture_id, result
+        for k, offset in enumerate(range(0, len(samples), block_size), start=1):
+            streamer.push(samples[offset : offset + block_size])
+            if k % pushes_per_read == 0:
+                events.extend(pipeline.process())
+        events.extend(pipeline.process())
+    return writer.header.capture_id, [e for e in events if isinstance(e, GapEvent)]

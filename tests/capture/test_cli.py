@@ -88,3 +88,18 @@ class TestConsoleFlow:
         assert result.returncode == 0, result.stderr
         assert capture_id in result.stdout
         assert not (store / capture_id).exists()
+
+
+def test_record_and_replay_blocks_wider_than_the_default_ring(tmp_path):
+    # Blocks of 500 do not fit the tracker's default 4-window ring; the
+    # capture header carries the ring the run sized, so replay rebuilds
+    # the same tracker.
+    result = _repro(
+        "record", "--store", str(tmp_path), "--duration", "2",
+        "--seed", "3", "--block-size", "500",
+    )
+    assert result.returncode == 0, result.stderr
+    capture_id = RECORD_LINE.search(result.stdout).group(1)
+    replayed = _repro("replay", capture_id, "--store", str(tmp_path))
+    assert replayed.returncode == 0, replayed.stderr
+    assert "bit-identical" in replayed.stdout

@@ -12,7 +12,6 @@ from repro.capture import (
     CaptureReader,
     promote_to_fixture,
     recorded_columns,
-    replay_pipeline,
     replay_serve_async,
     serve_config_overrides,
     verify_capture,
@@ -25,33 +24,18 @@ from repro.serve import SensingServer, ServeConfig
 
 class TestOfflineReplay:
     def test_gapped_run_re_enacts_resets(self, store, record, make_trace, fast_config):
-        # Chunks larger than the ring force drops: real recorded gaps.
-        capture_id, result = record(
-            make_trace(1600), fast_config, block_size=64,
-            chunk_size=400, ring_capacity=128,
+        # Four pushes per read overrun the 2-deep stream: real recorded gaps.
+        capture_id, gaps = record(
+            make_trace(1600), fast_config, block_size=64, pushes_per_read=4
         )
-        assert result.gaps, "test setup: the ring never overflowed"
+        assert gaps, "test setup: the stream never overran"
         reader = store.open(capture_id)
         gap_events = reader.events(EVENT_GAP)
         assert sum(e["dropped_samples"] for e in gap_events) == sum(
-            g.dropped_samples for g in result.gaps
+            g.dropped_samples for g in gaps
         )
         verification = verify_capture(reader)
         assert verification.ok, verification.mismatches
-
-    def test_replay_pipeline_refires_gaps_and_columns(self, store, record, make_trace, fast_config):
-        capture_id, result = record(
-            make_trace(1600), fast_config, block_size=64,
-            chunk_size=400, ring_capacity=128,
-        )
-        replay = replay_pipeline(store.open(capture_id))
-        assert len(replay.gaps) == len(result.gaps)
-        assert len(replay.columns) == len(result.columns)
-        for original, rerun in zip(result.columns, replay.columns):
-            assert np.array_equal(original.power, rerun.power)
-        assert [d.angle_deg for d in replay.detections] == [
-            d.angle_deg for d in result.detections
-        ]
 
     def test_faulted_blocks_replay_including_nans(self, store, record, make_trace, fast_config):
         trace = make_trace()
@@ -133,11 +117,10 @@ async def _replay_against_fresh_server(reader):
 
 class TestServeReplay:
     def test_gapped_capture_refuses_serve_replay(self, store, record, make_trace, fast_config):
-        capture_id, result = record(
-            make_trace(1600), fast_config,
-            block_size=64, chunk_size=400, ring_capacity=128,
+        capture_id, gaps = record(
+            make_trace(1600), fast_config, block_size=64, pushes_per_read=4
         )
-        assert result.gaps
+        assert gaps
         with pytest.raises(CaptureFormatError, match="stream gaps"):
             asyncio.run(_replay_against_fresh_server(store.open(capture_id)))
 

@@ -129,7 +129,7 @@ def test_corrupt_series_offsets_by_device_clock():
 def test_storm_streamer_charges_loss_counters():
     streamer = RxStreamer(max_buffers=8)
     for _ in range(6):
-        streamer.push(np.ones(100, dtype=complex), sample_rate_hz=1e4)
+        streamer.push(np.ones(100, dtype=complex))
     event = FaultEvent(FaultKind.OVERFLOW_STORM, 0.0, 1.0, 0.5)
     injector = FaultInjector(make_schedule(event))
     dropped = injector.storm_streamer(streamer, event)
@@ -137,13 +137,11 @@ def test_storm_streamer_charges_loss_counters():
     assert streamer.overflow_count == 3
     assert streamer.dropped_sample_count == 300
     assert len(streamer) == 3
-    # The next buffer pushed after the storm carries the overflow flag
-    # (the UHD 'O': the discontinuity is reported on the stream resume).
-    streamer.push(np.ones(100, dtype=complex), sample_rate_hz=1e4)
-    while len(streamer) > 1:
-        streamer.recv()
-    buffer = streamer.recv()
-    assert buffer is not None and buffer.metadata.overflow
+    # The next buffer delivered after the storm carries the loss (the
+    # UHD 'O': the discontinuity is reported where the stream resumes),
+    # and the buffers after it are contiguous.
+    received = [streamer.recv() for _ in range(3)]
+    assert [buffer.dropped_before for buffer in received] == [300, 0, 0]
     assert injector.log[-1].kind is FaultKind.OVERFLOW_STORM
 
 

@@ -1,44 +1,58 @@
-"""Tests for the UHD-style streaming layer."""
+"""Tests for the UHD-style receive stream."""
 
 import numpy as np
 import pytest
 
-from repro.hardware.streaming import RxStreamer, StreamProcessor, TxStreamer
+from repro.hardware.streaming import RxStreamer
 
 
 def chunk(n=8, value=1.0):
     return value * np.ones(n, dtype=complex)
 
 
-def test_rx_fifo_order_and_timestamps():
+def test_rx_fifo_order():
     stream = RxStreamer()
-    stream.push(chunk(10), sample_rate_hz=100.0)
-    stream.push(chunk(10), sample_rate_hz=100.0)
+    stream.push(chunk(10, value=1.0))
+    stream.push(chunk(10, value=2.0))
     first = stream.recv()
     second = stream.recv()
-    assert first.metadata.timestamp_s == pytest.approx(0.0)
-    assert second.metadata.timestamp_s == pytest.approx(0.1)
+    assert first.samples[0] == 1.0 and first.dropped_before == 0
+    assert second.samples[0] == 2.0 and second.dropped_before == 0
     assert stream.recv() is None
 
 
 def test_rx_overflow_drops_oldest_and_flags():
     stream = RxStreamer(max_buffers=2)
-    stream.push(chunk(value=1.0), 100.0)
-    stream.push(chunk(value=2.0), 100.0)
-    stream.push(chunk(value=3.0), 100.0)  # evicts the first
+    stream.push(chunk(value=1.0))
+    stream.push(chunk(value=2.0))
+    stream.push(chunk(value=3.0))  # evicts the first
     assert stream.overflow_count == 1
     survivor = stream.recv()
     assert survivor.samples[0] == 2.0
-    flagged = stream.recv()
-    assert flagged.metadata.overflow
+    # The hole lies before the first buffer delivered after the drop;
+    # the buffer pushed when the drop happened is contiguous with it.
+    assert survivor.dropped_before == 8
+    after = stream.recv()
+    assert after.samples[0] == 3.0 and after.dropped_before == 0
+
+
+def test_rx_drop_lands_on_the_next_delivered_buffer():
+    # Four buffers into a 2-deep stream before any read: the first two
+    # are evicted, and the third buffer carries both of them.
+    stream = RxStreamer(max_buffers=2)
+    for n in (10, 20, 30, 40):
+        stream.push(chunk(n))
+    third, fourth = stream.recv(), stream.recv()
+    assert (len(third.samples), third.dropped_before) == (30, 30)
+    assert (len(fourth.samples), fourth.dropped_before) == (40, 0)
 
 
 def test_rx_loss_accounting_counts_samples_not_buffers():
     stream = RxStreamer(max_buffers=2)
-    stream.push(chunk(10), 100.0)
-    stream.push(chunk(20), 100.0)
-    stream.push(chunk(30), 100.0)  # evicts the 10-sample buffer
-    stream.push(chunk(40), 100.0)  # evicts the 20-sample buffer
+    stream.push(chunk(10))
+    stream.push(chunk(20))
+    stream.push(chunk(30))  # evicts the 10-sample buffer
+    stream.push(chunk(40))  # evicts the 20-sample buffer
     assert stream.overflow_count == 2
     assert stream.dropped_sample_count == 30  # 10 + 20, not "2 buffers"
     stream.recv()
@@ -51,7 +65,7 @@ def test_rx_starved_read_accounting():
     assert stream.recv() is None
     assert stream.recv() is None
     assert stream.starved_read_count == 2
-    stream.push(chunk(8), 100.0)
+    stream.push(chunk(8))
     assert stream.recv() is not None
     assert stream.starved_read_count == 2  # successful reads don't count
     assert stream.delivered_sample_count == 8
@@ -61,63 +75,26 @@ def test_rx_drop_oldest_explicit():
     stream = RxStreamer()
     assert stream.drop_oldest() is None  # empty queue: nothing charged
     assert stream.overflow_count == 0
-    stream.push(chunk(12, value=7.0), 100.0)
-    stream.push(chunk(12, value=8.0), 100.0)
+    stream.push(chunk(12, value=7.0))
+    stream.push(chunk(12, value=8.0))
     victim = stream.drop_oldest()
-    assert victim is not None and victim.samples[0] == 7.0
+    assert victim is not None and victim[0] == 7.0
     assert stream.overflow_count == 1
     assert stream.dropped_sample_count == 12
-    # The drop marks the stream discontinuous for the next push.
-    stream.push(chunk(12), 100.0)
-    stream.recv()
-    assert stream.recv().metadata.overflow
+    # The drop is reported once, on the next buffer delivered.
+    stream.push(chunk(12))
+    assert stream.recv().dropped_before == 12
+    assert stream.recv().dropped_before == 0
 
 
 def test_rx_validation():
     stream = RxStreamer()
     with pytest.raises(ValueError):
-        stream.push(np.array([], dtype=complex), 100.0)
+        stream.push(np.array([], dtype=complex))
     with pytest.raises(ValueError):
-        stream.push(chunk(), 0.0)
+        stream.push(np.zeros((2, 2), dtype=complex))
     with pytest.raises(ValueError):
         RxStreamer(max_buffers=0)
-
-
-def test_tx_burst_draining():
-    stream = TxStreamer()
-    stream.send(chunk(), 100.0)
-    stream.send(chunk(), 100.0, end_of_burst=True)
-    stream.send(chunk(), 100.0)
-    burst = stream.pop_burst()
-    assert len(burst) == 2
-    assert burst[-1].metadata.end_of_burst
-    assert len(stream) == 1
-    assert stream.sent_sample_count == 24
-
-
-def test_processor_drains_and_counts():
-    stream = RxStreamer()
-    for _ in range(3):
-        stream.push(chunk(16), 1000.0)
-    received = []
-    processor = StreamProcessor(callback=lambda s, m: received.append(len(s)))
-    handled = processor.drain(stream)
-    assert handled == 3
-    assert processor.processed_samples == 48
-    assert received == [16, 16, 16]
-
-
-def test_processor_overflow_hook_resets_state():
-    stream = RxStreamer(max_buffers=1)
-    stream.push(chunk(), 100.0)
-    stream.push(chunk(), 100.0)  # overflow
-    resets = []
-    processor = StreamProcessor(
-        callback=lambda s, m: None, on_overflow=lambda: resets.append(True)
-    )
-    processor.drain(stream)
-    assert processor.seen_overflows == 1
-    assert resets == [True]
 
 
 def test_streaming_channel_estimation_loop():
@@ -135,14 +112,11 @@ def test_streaming_channel_estimation_loop():
     stream = RxStreamer()
     waveform = modem.modulate(training) * true_channel
     for _ in range(4):
-        stream.push(waveform, 5e6)
+        stream.push(waveform)
 
     estimates = []
-
-    def estimate(samples, metadata):
-        received = modem.demodulate(samples)
+    while (buffer := stream.recv()) is not None:
+        received = modem.demodulate(buffer.samples)
         estimates.append(np.mean(ls_channel_estimate(received, training)))
-
-    StreamProcessor(callback=estimate).drain(stream)
     assert len(estimates) == 4
     assert np.allclose(estimates, true_channel, atol=1e-6)

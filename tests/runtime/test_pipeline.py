@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.monitoring import DeviceHealth
 from repro.core.tracking import compute_spectrogram
+from repro.hardware.streaming import RxStreamer
 from repro.runtime import pipeline as pipeline_module
 from repro.runtime import (
     BlockSource,
@@ -35,7 +36,7 @@ def _chunks(samples, size):
 
 
 def _pipeline(samples, config, chunk=64, **kwargs):
-    source = BlockSource(iter(_chunks(samples, chunk)), block_size=chunk)
+    source = BlockSource(iter(_chunks(samples, chunk)))
     tracker = StreamingTracker(config)
     return StreamingPipeline(source, tracker, **kwargs), tracker
 
@@ -84,17 +85,14 @@ class TestEventFlow:
     def test_generator_resumes_across_polls(self, rng, fast_tracking_config):
         # State lives in the stages: an exhausted generator can be
         # re-created after more data arrives and the stream continues.
-        from repro.hardware.streaming import RxStreamer
-
         samples = _trace(rng, num_samples=256)
         streamer = RxStreamer()
-        source = BlockSource(streamer, block_size=64)
         tracker = StreamingTracker(fast_tracking_config)
-        pipeline = StreamingPipeline(source, tracker)
+        pipeline = StreamingPipeline(BlockSource(streamer), tracker)
 
-        streamer.push(samples[:128], 312.5)
+        streamer.push(samples[:128])
         first = list(pipeline.process())
-        streamer.push(samples[128:], 312.5)
+        streamer.push(samples[128:])
         streamer.close()
         second = list(pipeline.process())
 
@@ -155,15 +153,36 @@ class TestGaps:
     def test_ring_overflow_surfaces_as_gap_and_resets_tracker(
         self, rng, fast_tracking_config
     ):
-        # A 100-sample chunk into a 64-sample ring drops 36 on arrival.
-        samples = _trace(rng, num_samples=100)
-        source = BlockSource(iter([samples]), block_size=16, ring_capacity=64)
-        tracker = StreamingTracker(fast_tracking_config)
-        pipeline = StreamingPipeline(source, tracker)
-        result = pipeline.run()
-        assert len(result.gaps) == 1
-        assert result.gaps[0].dropped_samples == 36
-        assert source.ring.dropped_sample_count == 36
+        # The receive stream's 2-buffer queue overruns mid-stream: four
+        # blocks arrive between two reads, so the oldest two of them
+        # (blocks 4 and 5, 128 samples) are evicted.
+        config = fast_tracking_config
+        samples = _trace(rng, num_samples=12 * 64)
+        blocks = _chunks(samples, 64)
+        streamer = RxStreamer(max_buffers=2)
+        pipeline = StreamingPipeline(BlockSource(streamer), StreamingTracker(config))
+        events = []
+        for k, block in enumerate(blocks):
+            streamer.push(block)
+            if not 4 <= k < 7:
+                events.extend(pipeline.process())
+        assert streamer.dropped_sample_count == 128
+        gaps = [e for e in events if isinstance(e, GapEvent)]
+        # One gap, on the first block after the hole (delivered index
+        # 256), carrying exactly the evicted samples.
+        assert gaps == [GapEvent(block_index=256, dropped_samples=128)]
+        columns = [e.column for e in events if isinstance(e, ColumnEvent)]
+        # No window straddles the hole: the columns are offline compute
+        # of the samples before it, then of the samples after it.
+        before = compute_spectrogram(samples[:256], config)
+        after = compute_spectrogram(samples[384:], config)
+        assert np.array_equal(
+            np.stack([c.power for c in columns]),
+            np.concatenate([before.power, after.power]),
+        )
+        # The gap comes first; the next column starts at the hole.
+        after_gap = events[events.index(gaps[0]) + 1]
+        assert after_gap.column.start_sample == 256
 
     def test_no_gap_on_clean_stream(self, rng, fast_tracking_config):
         samples = _trace(rng, num_samples=256)

@@ -1,8 +1,8 @@
 """Ring-buffer and block-source edge cases.
 
-The satellite checklist names the cases that break naive ring code:
-wraparound, overflow drop accounting, reads straddling a
-fault-injected NaN burst, and empty-source shutdown.
+The cases that break naive ring code: wraparound, a push that does not
+fit, reads straddling a fault-injected NaN burst; and the block source
+passing each upstream buffer through with the drop before it.
 """
 
 import numpy as np
@@ -25,7 +25,7 @@ class TestSampleRingBuffer:
         assert len(ring) == 5  # peek does not consume
         ring.consume(2)
         assert np.array_equal(ring.peek(3), _arange_complex(2, 3))
-        assert ring.total_consumed == 2
+        assert len(ring) == 3
 
     def test_wraparound_preserves_order(self):
         ring = SampleRingBuffer(8)
@@ -52,23 +52,16 @@ class TestSampleRingBuffer:
                 ring.consume(hop)
                 expected_start += hop
 
-    def test_overflow_drops_oldest_and_accounts(self):
+    def test_push_that_does_not_fit_is_refused(self):
+        # The ring never evicts: a push larger than the free space is
+        # refused whole and leaves the buffered samples untouched.
         ring = SampleRingBuffer(6)
         ring.push(_arange_complex(0, 4))
-        dropped = ring.push(_arange_complex(4, 4))
-        assert dropped == 2
-        assert ring.overflow_count == 1
-        assert ring.dropped_sample_count == 2
-        # The oldest two samples are gone; order is preserved.
-        assert np.array_equal(ring.peek(6), _arange_complex(2, 6))
-        assert ring.total_pushed == 8
-
-    def test_chunk_larger_than_capacity_keeps_newest(self):
-        ring = SampleRingBuffer(4)
-        dropped = ring.push(_arange_complex(0, 10))
-        assert dropped == 6
-        assert ring.dropped_sample_count == 6
-        assert np.array_equal(ring.peek(4), _arange_complex(6, 4))
+        with pytest.raises(ValueError, match="cannot fit"):
+            ring.push(_arange_complex(4, 3))
+        assert np.array_equal(ring.peek(4), _arange_complex(0, 4))
+        ring.push(_arange_complex(4, 2))  # exactly full is fine
+        assert np.array_equal(ring.peek(6), _arange_complex(0, 6))
 
     def test_nan_burst_survives_wraparound_reads(self):
         # A fault-injected NaN burst must come back out exactly where it
@@ -99,106 +92,66 @@ class TestSampleRingBuffer:
 
     def test_empty_push_is_a_no_op(self):
         ring = SampleRingBuffer(4)
-        assert ring.push(np.array([], dtype=complex)) == 0
-        assert len(ring) == 0 and ring.total_pushed == 0
-
-    def test_overflow_is_accounted_before_the_eviction(self):
-        # Regression: the drop counters must be bumped *before* the
-        # read pointer moves (and before any sample is overwritten).
-        # An observer reading the ring mid-push — exactly what the
-        # serving layer's stats endpoint does — must never see samples
-        # vanish while ``dropped_sample_count`` still reads low.
-        class InstrumentedRing(SampleRingBuffer):
-            """Records the drop counter at every eviction."""
-
-            def __init__(self, capacity):
-                self.counter_at_eviction = []
-                super().__init__(capacity)
-
-            @property
-            def _start(self):
-                return self.__dict__.get("_start_value", 0)
-
-            @_start.setter
-            def _start(self, value):
-                if self.__dict__.get("_start_value", 0) != value:
-                    self.counter_at_eviction.append(
-                        getattr(self, "dropped_sample_count", 0)
-                    )
-                self.__dict__["_start_value"] = value
-
-            def consume(self, n):
-                # Keep the instrument focused on push-time evictions.
-                self.counter_at_eviction, saved = [], self.counter_at_eviction
-                super().consume(n)
-                self.counter_at_eviction = saved
-
-        ring = InstrumentedRing(6)
-        ring.push(_arange_complex(0, 4))
-        assert ring.counter_at_eviction == []  # no eviction yet
-        dropped = ring.push(_arange_complex(4, 4))
-        assert dropped == 2
-        # The eviction observed the loss already counted.
-        assert ring.counter_at_eviction == [2]
-        assert ring.dropped_sample_count == 2
-        assert np.array_equal(ring.peek(6), _arange_complex(2, 6))
+        ring.push(np.array([], dtype=complex))
+        assert len(ring) == 0 and ring.free_space == 4
 
 
 class TestBlockSource:
-    def test_reblocks_iterator_with_partial_tail(self):
+    def test_passes_iterator_chunks_through(self):
         chunks = [_arange_complex(0, 5), _arange_complex(5, 5), _arange_complex(10, 3)]
-        source = BlockSource(iter(chunks), block_size=4)
-        blocks = list(source.drain())
-        assert [len(b) for b in blocks] == [4, 4, 4, 1]
-        assert [b.start_index for b in blocks] == [0, 4, 8, 12]
-        assert np.array_equal(
-            np.concatenate([b.samples for b in blocks]), _arange_complex(0, 13)
-        )
-        assert source.exhausted
+        source = BlockSource(iter(chunks))
+        blocks = [source.poll() for _ in chunks]
+        assert source.poll() is None
+        # One block per chunk, as delivered: nothing re-blocked, no drop.
+        assert [len(b) for b in blocks] == [5, 5, 3]
+        assert [b.start_index for b in blocks] == [0, 5, 10]
+        assert [b.dropped_before for b in blocks] == [0, 0, 0]
+        for block, chunk in zip(blocks, chunks):
+            assert np.array_equal(block.samples, chunk)
 
     def test_empty_source_shutdown(self):
         streamer = RxStreamer()
-        source = BlockSource(streamer, block_size=8)
-        assert source.poll() == []
-        assert not source.exhausted  # stream still open: could produce yet
+        source = BlockSource(streamer)
+        assert source.poll() is None
         assert streamer.starved_read_count == 1  # open + empty = underrun
         streamer.close()
-        assert source.poll() == []
-        assert source.exhausted
+        assert source.poll() is None
         # Orderly shutdown is not starvation: recv() after close must
         # not charge further starved reads.
         assert streamer.starved_read_count == 1
+        assert BlockSource(iter([])).poll() is None
 
     def test_streamer_blocks_then_tail_after_close(self):
         streamer = RxStreamer()
-        streamer.push(_arange_complex(0, 10), 312.5)
-        source = BlockSource(streamer, block_size=4)
-        first = source.poll()
-        assert [len(b) for b in first] == [4, 4]
-        assert source.poll() == []  # 2-sample tail held: stream still open
-        streamer.push(_arange_complex(10, 3), 312.5)
+        streamer.push(_arange_complex(0, 10))
+        source = BlockSource(streamer)
+        assert len(source.poll()) == 10
+        assert source.poll() is None  # stream still open, nothing queued
+        streamer.push(_arange_complex(10, 3))
         streamer.close()
-        # One more full block forms; the 1-sample tail flushes only
-        # once a poll actually observes end of stream.
-        assert [len(b) for b in source.poll()] == [4]
-        assert [len(b) for b in source.poll()] == [1]
-        assert source.exhausted
+        tail = source.poll()
+        assert (len(tail), tail.start_index) == (3, 10)
+        assert np.array_equal(tail.samples, _arange_complex(10, 3))
+        assert source.poll() is None
 
     def test_ring_overflow_accounts_drops_without_index_gaps(self):
-        streamer = RxStreamer()
-        # One chunk larger than the whole ring: the oldest samples of
-        # the chunk are dropped on arrival.
-        streamer.push(_arange_complex(0, 100), 312.5)
+        # The stream's queue overflows: two 16-sample buffers are
+        # evicted before the consumer reads.
+        streamer = RxStreamer(max_buffers=2)
+        for start in range(0, 64, 16):
+            streamer.push(_arange_complex(start, 16))
         streamer.close()
-        source = BlockSource(streamer, block_size=16, ring_capacity=64)
-        blocks = list(source.drain())
-        assert source.ring.dropped_sample_count == 36
-        # Delivered indices stay contiguous; the gap lives in accounting.
-        assert [b.start_index for b in blocks] == [0, 16, 32, 48]
-        assert np.array_equal(blocks[0].samples, _arange_complex(36, 16))
+        source = BlockSource(streamer)
+        first, second = source.poll(), source.poll()
+        assert source.poll() is None
+        # Delivered indices stay contiguous; the first block after the
+        # hole carries it, the next one is contiguous again.
+        assert [first.start_index, second.start_index] == [0, 16]
+        assert [first.dropped_before, second.dropped_before] == [32, 0]
+        assert np.array_equal(first.samples, _arange_complex(32, 16))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            BlockSource(iter([]), block_size=0)
+            BlockSource(iter([np.zeros((2, 2), dtype=complex)])).poll()
         with pytest.raises(ValueError):
-            BlockSource(iter([]), block_size=8, ring_capacity=4)
+            BlockSource(iter([np.array([], dtype=complex)])).poll()

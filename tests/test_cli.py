@@ -70,6 +70,22 @@ def test_stream_command_beamforming_path(capsys):
     assert "[music]" not in output
 
 
+def test_stream_command_takes_blocks_wider_than_the_default_ring(capsys):
+    # Blocks of 500 do not fit the tracker's default 4-window ring (400
+    # samples); the ring is sized for the block size, and the columns do
+    # not depend on it.
+    lines = {}
+    for block_size in ("64", "500"):
+        code = main(
+            ["stream", "--duration", "3", "--seed", "3", "--block-size", block_size]
+        )
+        assert code == 0
+        output = capsys.readouterr().out
+        lines[block_size] = [line for line in output.splitlines() if line.startswith("t=")]
+    assert len(lines["500"]) > 10
+    assert lines["500"] == lines["64"]
+
+
 def test_stream_parser_defaults():
     args = build_parser().parse_args(["stream"])
     assert args.block_size == 64

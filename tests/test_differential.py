@@ -153,26 +153,25 @@ class TrackerPath(Path):
 
 
 class PipelinePath(Path):
-    """``StreamingPipeline`` over ``BlockSource(iter(pushes), block_size)``, run at close.
+    """``StreamingPipeline`` over ``BlockSource(iter(pushes))``, run at close.
 
-    The source ring holds the whole stream, so nothing drops.  The run records
-    into a capture store through the pipeline's recorder; the capture must pass
-    ``verify_capture``, and its ``replay_columns`` are held to the model too.
+    Each push is one block, and an iterable upstream never drops.  The run
+    records into a capture store through the pipeline's recorder; the capture
+    must pass ``verify_capture``, and its ``replay_columns`` are held to the
+    model too.
     """
 
     async def close(self, stream):
         stream.closed, stream.report = True, (0, 0)
         if stream.blocks:
-            size = max(len(block) for block in stream.blocks)
-            tracker = StreamingTracker(CONFIG, stream.start_time_s, stream.use_music, WINDOW + size)
-            ring = sum(len(block) for block in stream.blocks)
+            tracker = StreamingTracker(CONFIG, stream.start_time_s, stream.use_music, WINDOW + MAX_PUSH)
             store = CaptureStore(self.workdir)
             writer = store.create(
                 "stream", CONFIG, 1.0 / CONFIG.sample_period_s, use_music=stream.use_music,
-                start_time_s=stream.start_time_s, ring_capacity=WINDOW + size,
+                start_time_s=stream.start_time_s, ring_capacity=WINDOW + MAX_PUSH,
             )
             with CaptureRecorder(writer) as recorder:
-                source = BlockSource(iter(stream.blocks), size, ring)
+                source = BlockSource(iter(stream.blocks))
                 result = StreamingPipeline(source, tracker, recorder=recorder).run()
             assert not result.gaps
             stream.columns = result.columns
