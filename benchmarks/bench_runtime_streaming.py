@@ -23,7 +23,6 @@ from repro.core.tracking import TrackingConfig, compute_spectrogram
 from repro.environment.walls import stata_conference_room_small
 from repro.hardware.streaming import RxStreamer
 from repro.runtime import (
-    BlockSource,
     DetectStage,
     StreamingPipeline,
     StreamingTracker,
@@ -41,7 +40,7 @@ def _stream_once(samples: np.ndarray, config: TrackingConfig):
     streamer.close()
     tracker = StreamingTracker(config)
     pipeline = StreamingPipeline(
-        BlockSource(streamer),
+        streamer,
         tracker,
         detector=DetectStage(config.theta_grid_deg),
     )

@@ -147,8 +147,6 @@ class CaptureHeader:
         config: the :data:`CONFIG_SNAPSHOT_FIELDS` snapshot.
         use_music: estimator family of the original run.
         start_time_s: the tracker's time origin.
-        ring_capacity: tracker ring sizing of the original run (replay
-            rebuilds the same tracker; None = the tracker default).
         dsp_backend: name of the DSP backend the recording process was
             running — replay on the same backend reproduces columns
             bit for bit; a different backend reproduces them within
@@ -167,7 +165,6 @@ class CaptureHeader:
     config: dict[str, Any]
     use_music: bool = True
     start_time_s: float = 0.0
-    ring_capacity: int | None = None
     dsp_backend: str | None = None
     extra: dict[str, Any] = field(default_factory=dict)
     format_version: int = CAPTURE_FORMAT_VERSION
@@ -187,7 +184,6 @@ class CaptureHeader:
             "config": dict(self.config),
             "use_music": self.use_music,
             "start_time_s": self.start_time_s,
-            "ring_capacity": self.ring_capacity,
             "dsp_backend": self.dsp_backend,
             "extra": jsonable(self.extra),
         }
@@ -215,9 +211,6 @@ class CaptureHeader:
             seed = payload.get("seed")
             if seed is not None:
                 seed = int(seed)
-            ring_capacity = payload.get("ring_capacity")
-            if ring_capacity is not None:
-                ring_capacity = int(ring_capacity)
             config = payload["config"]
             if not isinstance(config, dict):
                 raise ValueError("config must be a JSON object")
@@ -237,7 +230,6 @@ class CaptureHeader:
                 config=config,
                 use_music=bool(payload.get("use_music", True)),
                 start_time_s=float(payload.get("start_time_s", 0.0)),
-                ring_capacity=ring_capacity,
                 dsp_backend=dsp_backend,
                 extra=extra,
             )

@@ -64,7 +64,6 @@ def tracker_for(header: CaptureHeader) -> StreamingTracker:
         config=header.tracking_config(),
         start_time_s=header.start_time_s,
         use_music=header.use_music,
-        ring_capacity=header.ring_capacity,
     )
 
 

@@ -210,7 +210,6 @@ class CaptureStore:
         seed: int | None = None,
         use_music: bool = True,
         start_time_s: float = 0.0,
-        ring_capacity: int | None = None,
         dsp_backend: str | None = None,
         extra: dict[str, Any] | None = None,
         capture_id: str | None = None,
@@ -240,7 +239,6 @@ class CaptureStore:
                 config=config_to_snapshot(config),
                 use_music=use_music,
                 start_time_s=start_time_s,
-                ring_capacity=ring_capacity,
                 dsp_backend=(
                     dsp_backend
                     if dsp_backend is not None

@@ -298,33 +298,22 @@ def _track_with_faults(device: WiViDevice, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_stream(args: argparse.Namespace) -> int:
-    """Image movers *online*: columns stream out as samples arrive."""
-    import time as _time
+def _simulated_run(args: argparse.Namespace):
+    """Seed, scene, device and calibration, then one capture of
+    ``--duration`` seconds: the simulated radio's output that ``stream``
+    and ``record`` feed the runtime.
 
-    from repro.analysis.plots import render_column_strip
-    from repro.hardware.streaming import RxStreamer
-    from repro.runtime import (
-        BlockSource,
-        ColumnEvent,
-        DetectStage,
-        DetectionEvent,
-        GapEvent,
-        HealthEvent,
-        StreamingPipeline,
-        StreamingTracker,
-    )
-    from repro.runtime.tracker import ring_capacity_for
-
+    Under ``--inject-faults`` a generated fault schedule corrupts it at
+    the hardware boundary, before the runtime ever sees a sample.
+    Returns ``(device, series, injector)``; the injector is None
+    without faults.
+    """
     rng = np.random.default_rng(args.seed)
     room = stata_conference_room_small()
     scene = build_tracking_scene(room, args.humans, args.duration, rng)
     device = WiViDevice(scene, rng)
     nulling = device.calibrate()
     out(f"calibrated: {nulling.nulling_db:.1f} dB of nulling")
-
-    # The simulated radio's output; faults corrupt it at the hardware
-    # boundary before the runtime ever sees a sample.
     series = device.capture(args.duration)
     injector = None
     if args.inject_faults:
@@ -334,16 +323,31 @@ def cmd_stream(args: argparse.Namespace) -> int:
         out(f"fault schedule (seed {args.fault_seed}): {schedule.describe()}")
         injector = FaultInjector(schedule)
         series = injector.corrupt_series(series, 0.0)
+    return device, series, injector
 
+
+def cmd_stream(args: argparse.Namespace) -> int:
+    """Image movers *online*: columns stream out as samples arrive."""
+    import time as _time
+
+    from repro.analysis.plots import render_column_strip
+    from repro.hardware.streaming import RxStreamer
+    from repro.runtime import (
+        ColumnEvent,
+        DetectStage,
+        DetectionEvent,
+        GapEvent,
+        HealthEvent,
+        StreamingPipeline,
+        StreamingTracker,
+    )
+
+    device, series, injector = _simulated_run(args)
     rate = device.config.timeseries.sample_rate_hz
     streamer = RxStreamer(max_buffers=args.max_buffers)
-    tracker = StreamingTracker(
-        device.config.tracking,
-        use_music=not args.beamforming,
-        ring_capacity=ring_capacity_for(device.config.tracking, args.block_size),
-    )
+    tracker = StreamingTracker(device.config.tracking, use_music=not args.beamforming)
     pipeline = StreamingPipeline(
-        BlockSource(streamer), tracker, detector=DetectStage(tracker.config.theta_grid_deg)
+        streamer, tracker, detector=DetectStage(tracker.config.theta_grid_deg)
     )
 
     detections = 0
@@ -731,46 +735,26 @@ def cmd_load(args: argparse.Namespace) -> int:
 def cmd_record(args: argparse.Namespace) -> int:
     """Record a streaming run into the capture store, bit-exactly."""
     from repro.capture import CaptureRecorder, CaptureStore
-    from repro.runtime import (
-        BlockSource,
-        DetectStage,
-        StreamingPipeline,
-        StreamingTracker,
-    )
-    from repro.runtime.tracker import ring_capacity_for
+    from repro.hardware.streaming import RxStreamer
+    from repro.runtime import DetectStage, StreamingPipeline, StreamingTracker
 
-    rng = np.random.default_rng(args.seed)
-    room = stata_conference_room_small()
-    scene = build_tracking_scene(room, args.humans, args.duration, rng)
-    device = WiViDevice(scene, rng)
-    nulling = device.calibrate()
-    out(f"calibrated: {nulling.nulling_db:.1f} dB of nulling")
-    series = device.capture(args.duration)
-    fault_schedule = None
-    if args.inject_faults:
-        from repro.faults import FaultInjector, FaultSchedule
-
-        fault_schedule = FaultSchedule.generate(
-            duration_s=args.duration + 2.0, seed=args.fault_seed
-        )
-        out(f"fault schedule (seed {args.fault_seed}): {fault_schedule.describe()}")
-        series = FaultInjector(fault_schedule).corrupt_series(series, 0.0)
-
+    device, series, injector = _simulated_run(args)
     samples = series.samples
-    chunks = [
-        samples[offset : offset + args.block_size]
-        for offset in range(0, len(samples), args.block_size)
-    ]
+    offsets = range(0, len(samples), args.block_size)
+    # A stream deep enough for every block: the whole run is queued
+    # before the pipeline reads, and nothing is dropped.
+    streamer = RxStreamer(max_buffers=len(offsets))
+    for offset in offsets:
+        streamer.push(samples[offset : offset + args.block_size])
+    streamer.close()
     store = CaptureStore(args.store)
     config = device.config.tracking
-    ring_capacity = ring_capacity_for(config, args.block_size)
     writer = store.create(
         source="stream",
         config=config,
         sample_rate_hz=device.config.timeseries.sample_rate_hz,
         seed=args.seed,
         use_music=True,
-        ring_capacity=ring_capacity,
         extra={
             "humans": args.humans,
             "duration_s": args.duration,
@@ -780,14 +764,14 @@ def cmd_record(args: argparse.Namespace) -> int:
     )
     recorder = CaptureRecorder(writer)
     pipeline = StreamingPipeline(
-        BlockSource(iter(chunks)),
-        StreamingTracker(config, ring_capacity=ring_capacity),
+        streamer,
+        StreamingTracker(config),
         detector=DetectStage(config.theta_grid_deg),
         recorder=recorder,
     )
     with recorder:
-        if fault_schedule is not None:
-            recorder.record_fault_schedule(fault_schedule)
+        if injector is not None:
+            recorder.record_fault_schedule(injector.schedule)
         with get_telemetry().span("record.run", samples=len(samples)):
             result = pipeline.run()
     # One parseable line, like serve's port line: scripts (and the CI

@@ -362,13 +362,13 @@ class HealthStateMachine:
         """Load a :meth:`snapshot_state` dict into this machine.
 
         Raises:
-            ValueError: unknown state name, missing field, or a
-                negative counter.
+            ValueError: unknown state name, missing field, or a counter
+                that is not a non-negative integer (bools included).
         """
         try:
             state = DeviceHealth(snapshot["state"])
             counters = {
-                name: int(snapshot[name])
+                name: snapshot[name]
                 for name in (
                     "capture_index",
                     "recovery_count",
@@ -380,8 +380,12 @@ class HealthStateMachine:
             }
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed health snapshot: {exc}") from None
-        if any(value < 0 for value in counters.values()):
-            raise ValueError("health snapshot counters cannot be negative")
+        for name, value in counters.items():
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ValueError(
+                    f"health snapshot {name} must be a non-negative "
+                    f"integer, not {value!r}"
+                )
         self.state = state
         self.capture_index = counters["capture_index"]
         self.recovery_count = counters["recovery_count"]

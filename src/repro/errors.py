@@ -135,11 +135,11 @@ class ServeOverloadError(ReproError):
 
     Raised (and sent as an error frame) when the micro-batching
     scheduler's admission queue cannot absorb the windows a push would
-    complete.  Unlike a ring overflow — where samples are lost at the
-    hardware boundary and surface as a stream gap — a shed request
-    rejects the whole block before any sample is buffered, so the
-    session's window alignment survives and the client may simply retry
-    later.
+    complete.  Unlike a receive-stream overflow — where samples are
+    lost at the hardware boundary and surface as a stream gap — a shed
+    request rejects the whole block before any sample is buffered, so
+    the session's window alignment survives and the client may simply
+    retry later.
     """
 
 

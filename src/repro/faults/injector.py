@@ -1,7 +1,7 @@
 """Applies a fault schedule at the hardware boundary.
 
 The injector corrupts *captures* (sample arrays / ``ChannelSeries``)
-and *streams* (``RxStreamer``), which is where real faults enter: the
+at the hardware boundary, which is where real faults enter: the
 DSP layers downstream — screening, MUSIC, tracking, the health machine
 — then get exercised against realistic damage rather than synthetic
 unit-test inputs.
@@ -38,7 +38,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.faults.schedule import FaultEvent, FaultKind, FaultSchedule
-from repro.hardware.streaming import RxStreamer
 from repro.simulator.timeseries import ChannelSeries
 from repro.telemetry.context import get_telemetry
 
@@ -104,26 +103,6 @@ class FaultInjector:
         ``start_s`` (series timestamps are capture-relative)."""
         corrupted = self.corrupt(series.samples, series.times_s + start_s)
         return replace(series, samples=corrupted)
-
-    # ------------------------------------------------------------------
-    # Stream-path injection
-    # ------------------------------------------------------------------
-
-    def storm_streamer(self, streamer: RxStreamer, event: FaultEvent) -> int:
-        """Apply an overflow storm to a live receive stream: drop the
-        configured fraction of queued buffers, oldest first.  Returns
-        buffers dropped."""
-        if event.kind is not FaultKind.OVERFLOW_STORM:
-            raise ValueError("streamer storms take OVERFLOW_STORM events")
-        target = max(int(round(event.magnitude * len(streamer))), 1)
-        dropped = 0
-        for _ in range(target):
-            if streamer.drop_oldest() is None:
-                break
-            dropped += 1
-        if dropped:
-            self._record(event, dropped, f"dropped {dropped} buffers")
-        return dropped
 
     # ------------------------------------------------------------------
     # Recovery hooks

@@ -7,9 +7,10 @@ from: a bounded receive stream with overflow accounting, so the
 runtime can be exercised the way it runs on hardware, buffer by
 buffer, instead of against whole-trace arrays.
 
-It is the runtime's one drop point.  When the consumer falls behind,
-the stream evicts its oldest buffer and charges the lost samples to
-the next buffer it delivers, which is where the hole in the stream is.
+It is the runtime's one drop point, and it hands the runtime its
+blocks.  When the consumer falls behind, the stream evicts its oldest
+buffer and charges the lost samples to the next block it delivers,
+which is where the hole in the stream is.
 """
 
 from __future__ import annotations
@@ -21,16 +22,22 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class StreamBuffer:
-    """One chunk of complex baseband samples, as ``recv`` delivers it.
+class SampleBlock:
+    """One delivered chunk of the sample stream, as ``recv`` hands it out.
 
-    ``dropped_before`` counts the samples the stream evicted between
-    the previously delivered buffer and this one (0 when the two are
-    contiguous): the UHD 'O', reported on the buffer after the hole.
+    ``start_index`` counts *delivered* samples from stream start, so
+    the indices continue across a drop; ``dropped_before`` counts the
+    samples the stream evicted just before this block (0 when the
+    stream is contiguous): the UHD 'O', reported on the block after
+    the hole.
     """
 
     samples: np.ndarray
+    start_index: int
     dropped_before: int = 0
+
+    def __len__(self) -> int:
+        return len(self.samples)
 
 
 class RxStreamer:
@@ -39,7 +46,7 @@ class RxStreamer:
     A producer (the channel simulator) pushes buffers; the consumer
     (signal processing) pulls them.  When the consumer falls behind and
     the queue overflows, the oldest buffer is dropped and the next
-    delivered buffer carries the loss as ``dropped_before`` — the UHD
+    delivered block carries the loss as ``dropped_before`` — the UHD
     'O' you see on a struggling host (the reason the prototype runs at
     5 MHz rather than 20 MHz, §7.1).
     """
@@ -50,7 +57,7 @@ class RxStreamer:
         self._queue: deque[np.ndarray] = deque()
         self._max_buffers = max_buffers
         self._closed = False
-        # Samples evicted since the last delivered buffer.
+        # Samples evicted since the last delivered block.
         self._pending_drop = 0
         #: Buffers evicted by overflow.
         self.overflow_count = 0
@@ -64,22 +71,6 @@ class RxStreamer:
         #: Samples actually handed to the consumer.
         self.delivered_sample_count = 0
 
-    def drop_oldest(self) -> np.ndarray | None:
-        """Evict the oldest queued buffer, charging the loss counters.
-
-        Used internally on producer overflow and externally by fault
-        injection (an overflow storm is a burst of host-side drops).
-        The next buffer :meth:`recv` delivers carries the loss.
-        Returns the evicted samples, or None if the queue is empty.
-        """
-        if not self._queue:
-            return None
-        victim = self._queue.popleft()
-        self.overflow_count += 1
-        self.dropped_sample_count += len(victim)
-        self._pending_drop += len(victim)
-        return victim
-
     def push(self, samples: np.ndarray) -> None:
         """Producer side: append a chunk, evicting the oldest when full."""
         if self._closed:
@@ -88,7 +79,10 @@ class RxStreamer:
         if samples.ndim != 1 or len(samples) == 0:
             raise ValueError("samples must be a non-empty 1-D array")
         if len(self._queue) >= self._max_buffers:
-            self.drop_oldest()
+            victim = self._queue.popleft()
+            self.overflow_count += 1
+            self.dropped_sample_count += len(victim)
+            self._pending_drop += len(victim)
         self._queue.append(samples)
 
     def close(self) -> None:
@@ -100,25 +94,23 @@ class RxStreamer:
         """
         self._closed = True
 
-    def recv(self) -> StreamBuffer | None:
-        """Consumer side: pop the oldest buffer (None when starved).
+    def recv(self) -> SampleBlock | None:
+        """Consumer side: the oldest buffer as a block (None when starved).
 
-        The buffer carries the samples evicted since the previous one
-        was delivered.  A starved read is *accounted*
-        (``starved_read_count``) so consumers can tell underrun (they
-        outpace the producer) from overflow (the producer outpaces
-        them) when diagnosing gaps — unless the stream is closed, in
-        which case an empty queue is orderly shutdown, not starvation.
+        The block starts at the count of samples delivered before it
+        and carries the samples evicted since the previous block.  A
+        starved read is *accounted* (``starved_read_count``) so
+        consumers can tell underrun (they outpace the producer) from
+        overflow (the producer outpaces them) when diagnosing gaps —
+        unless the stream is closed, in which case an empty queue is
+        orderly shutdown, not starvation.
         """
         if not self._queue:
             if not self._closed:
                 self.starved_read_count += 1
             return None
         samples = self._queue.popleft()
+        block = SampleBlock(samples, self.delivered_sample_count, self._pending_drop)
         self.delivered_sample_count += len(samples)
-        buffer = StreamBuffer(samples=samples, dropped_before=self._pending_drop)
         self._pending_drop = 0
-        return buffer
-
-    def __len__(self) -> int:
-        return len(self._queue)
+        return block

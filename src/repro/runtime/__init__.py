@@ -1,19 +1,21 @@
 """repro.runtime — the online streaming sensing engine.
 
 The offline pipeline answers "what happened in this 25 s trace"; this
-package answers it *while the trace is still arriving*: sample blocks
-that carry the receive stream's drops (:mod:`~repro.runtime.ring`),
-incremental sliding-window spectrogram estimation that matches the
-batch pipeline bit for bit (:mod:`~repro.runtime.tracker`), a stage
-graph with per-stage latency/throughput metrics and mid-stream health
-visibility (:mod:`~repro.runtime.pipeline`), and a parallel campaign
-executor with seed-stable, order-independent results
+package answers it *while the trace is still arriving*: incremental
+sliding-window spectrogram estimation over the sample blocks the
+receive stream (:mod:`repro.hardware.streaming`) delivers, keeping
+less than one window between pushes and matching the batch pipeline
+bit for bit (:mod:`~repro.runtime.tracker`), a stage graph with
+per-stage latency/throughput metrics and mid-stream health visibility
+(:mod:`~repro.runtime.pipeline`), and a parallel campaign executor
+with seed-stable, order-independent results
 (:mod:`~repro.runtime.parallel`).
 
 The CLI front end is ``python -m repro stream``.
 """
 
 from repro.core.monitoring import BlockHealth, screen_block
+from repro.hardware.streaming import SampleBlock
 from repro.telemetry.metrics import RuntimeMetrics, StageMetrics, StageTimer
 from repro.runtime.parallel import (
     ParallelCampaignReport,
@@ -30,7 +32,6 @@ from repro.runtime.pipeline import (
     StreamingPipeline,
     StreamResult,
 )
-from repro.runtime.ring import BlockSource, SampleBlock, SampleRingBuffer
 from repro.runtime.tracker import (
     PendingWindow,
     SpectrogramColumn,
@@ -40,7 +41,6 @@ from repro.runtime.tracker import (
 
 __all__ = [
     "BlockHealth",
-    "BlockSource",
     "ColumnEvent",
     "ConditionStage",
     "DetectStage",
@@ -51,7 +51,6 @@ __all__ = [
     "PendingWindow",
     "RuntimeMetrics",
     "SampleBlock",
-    "SampleRingBuffer",
     "SpectrogramColumn",
     "StageMetrics",
     "StageTimer",

@@ -26,8 +26,8 @@ import numpy as np
 
 from repro.core.monitoring import DeviceHealth, HealthStateMachine, screen_block
 from repro.core.tracking import MotionSpectrogram
+from repro.hardware.streaming import RxStreamer, SampleBlock
 from repro.telemetry.metrics import RuntimeMetrics, StageTimer
-from repro.runtime.ring import BlockSource, SampleBlock
 from repro.runtime.tracker import SpectrogramColumn, StreamingTracker
 from repro.telemetry.context import get_telemetry
 
@@ -204,7 +204,7 @@ class StreamingPipeline:
     """Wires source -> condition -> track -> detect -> sink.
 
     Args:
-        source: the block source (over an ``RxStreamer`` or iterator).
+        source: the receive stream the pipeline reads blocks from.
         tracker: the incremental spectrogram stage.
         condition: block screening + health machine (optional; built
             with defaults when omitted).
@@ -220,7 +220,7 @@ class StreamingPipeline:
 
     def __init__(
         self,
-        source: BlockSource,
+        source: RxStreamer,
         tracker: StreamingTracker,
         condition: ConditionStage | None = None,
         detector: DetectStage | None = None,
@@ -269,17 +269,17 @@ class StreamingPipeline:
         return event
 
     def process(self):
-        """Generator over stream events, in order, until source end.
+        """Generator over stream events, in order, until the stream
+        runs dry.
 
-        With an open ``RxStreamer`` upstream, the generator simply
-        stops when the streamer runs dry; re-invoking it after more
-        pushes continues the stream (state lives in the stages, not in
-        the generator).
+        While the stream is open, re-invoking the generator after more
+        pushes continues it (state lives in the stages, not in the
+        generator).
         """
         recorder = self.recorder
         while True:
             with StageTimer(self.metrics.stage("source")) as source_timer:
-                block = self.source.poll()
+                block = self.source.recv()
                 source_timer.items_out = 0 if block is None else len(block)
             if block is None:
                 return

@@ -2,7 +2,8 @@
 
 The offline pipeline (:func:`repro.core.tracking.compute_spectrogram`)
 recomputes every window of the full trace at once.  The streaming
-tracker holds only ``window_size`` samples of state and emits each
+tracker keeps, between pushes, only its carry: the fewer than
+``window_size`` samples no window has consumed yet.  It emits each
 A'[theta, n] column the moment its window fills — bounded memory,
 bounded latency, same math: both paths call
 :func:`repro.core.tracking.compute_spectrogram_frame` on identical
@@ -26,14 +27,6 @@ from repro.core.tracking import (
 )
 from repro.dsp.backend import active_backend_name
 from repro.telemetry.metrics import StageMetrics, StageTimer
-from repro.runtime.ring import SampleRingBuffer
-
-
-def ring_capacity_for(config: TrackingConfig, max_block: int) -> int:
-    """A tracker ring that holds a block of up to ``max_block`` samples
-    on top of a window's carry, and never less than the default four
-    windows."""
-    return max(4 * config.window_size, config.window_size + max_block)
 
 
 @dataclass(frozen=True)
@@ -71,7 +64,7 @@ class TrackerCheckpoint:
     resumed tracker's observability restarts, its math does not.
 
     Attributes:
-        buffered: the ring's current contents, oldest first.
+        buffered: the tracker's carry, oldest first.
         next_start: stream index of the next window's first sample.
         column_index: index the next emitted column will carry.
         samples_seen: total samples ever ingested.
@@ -113,11 +106,11 @@ class SpectrogramColumn:
 class StreamingTracker:
     """Turns an incoming sample stream into spectrogram columns.
 
-    Feed sample blocks with :meth:`push`; each call returns the columns
-    whose windows completed.  Internally a ring buffer holds the
-    current window: ``window_size`` samples are peeked per column and
-    only ``hop`` are consumed, exactly reproducing the offline
-    overlapping-window walk.
+    Feed sample blocks of any size with :meth:`push`; each call returns
+    the columns whose windows completed.  Each block joins the carry,
+    windows of ``window_size`` samples slide ``hop`` apart over it, and
+    the tail no window has consumed stays as the next carry, exactly
+    reproducing the offline overlapping-window walk.
 
     The streaming DC treatment matches the offline estimators: the
     MUSIC path carries the DC line at theta = 0 naturally, and the
@@ -130,18 +123,13 @@ class StreamingTracker:
         config: TrackingConfig | None = None,
         start_time_s: float = 0.0,
         use_music: bool = True,
-        ring_capacity: int | None = None,
     ):
         self.config = config if config is not None else TrackingConfig()
         self.start_time_s = start_time_s
         self.use_music = use_music
-        window = self.config.window_size
-        capacity = (
-            ring_capacity if ring_capacity is not None else 4 * window
-        )
-        if capacity < window:
-            raise ValueError("ring capacity must hold one full window")
-        self.ring = SampleRingBuffer(capacity)
+        # The samples no window has consumed yet; between pushes, fewer
+        # than ``window_size``.
+        self._carry = np.empty(0, dtype=complex)
         self.metrics = StageMetrics(name="track")
         self._next_start = 0
         self._column_index = 0
@@ -181,7 +169,7 @@ class StreamingTracker:
         """
         if incoming < 0:
             raise ValueError("incoming sample count cannot be negative")
-        buffered = len(self.ring) + incoming
+        buffered = self._samples_seen + incoming - self._next_start
         if buffered < self.config.window_size:
             return 0
         return (buffered - self.config.window_size) // self.config.hop + 1
@@ -190,12 +178,14 @@ class StreamingTracker:
         """Buffer a sample block without estimating anything.
 
         The first half of :meth:`push`, split out for consumers that
-        batch estimation elsewhere (the serving scheduler): append to
-        the ring, which refuses a block it cannot hold, and account the
-        samples.  Returns the number of windows now ready for
-        :meth:`poll_ready_windows`.
+        batch estimation elsewhere (the serving scheduler): append the
+        block to the carry and account the samples.  Returns the number
+        of windows now ready for :meth:`poll_ready_windows`.
         """
-        self.ring.push(samples)
+        samples = np.asarray(samples, dtype=complex)
+        if samples.ndim != 1:
+            raise ValueError("samples must be one-dimensional")
+        self._carry = np.concatenate((self._carry, samples))
         self._samples_seen += len(samples)
         return self.expected_windows(0)
 
@@ -203,31 +193,37 @@ class StreamingTracker:
         """Drain every completed window, consuming ``hop`` per window.
 
         The scheduler hook: each returned :class:`PendingWindow` owns a
-        copy of its window samples (the ring advances underneath), and
+        copy of its window samples (the carry moves on underneath), and
         the tracker's column/sample counters advance as if the windows
         had been estimated inline — :meth:`resolve` later completes
-        them in any order without touching tracker state.
+        them in any order without touching tracker state.  The carry
+        keeps the tail no window consumed.
         """
         config = self.config
+        window = config.window_size
+        carry = self._carry
+        # Where the next window starts in the carry, which ends at the
+        # newest sample (past its end after a hop wider than a window).
+        start = self._next_start - (self._samples_seen - len(carry))
         pending: list[PendingWindow] = []
-        while len(self.ring) >= config.window_size:
-            window = self.ring.peek(config.window_size)
+        while start + window <= len(carry):
             time_s = (
                 self.start_time_s
-                + (self._next_start + config.window_size / 2.0)
-                * config.sample_period_s
+                + (self._next_start + window / 2.0) * config.sample_period_s
             )
             pending.append(
                 PendingWindow(
                     index=self._column_index,
                     start_sample=self._next_start,
                     time_s=time_s,
-                    samples=window,
+                    samples=carry[start : start + window].copy(),
                 )
             )
-            self.ring.consume(config.hop)
+            start += config.hop
             self._next_start += config.hop
             self._column_index += 1
+        if start:
+            self._carry = carry[start:].copy()
         return pending
 
     @staticmethod
@@ -245,12 +241,8 @@ class StreamingTracker:
         )
 
     def push(self, samples: np.ndarray) -> list[SpectrogramColumn]:
-        """Accept a sample block; return the columns it completed.
-
-        The tracker consumes eagerly, so its ring never overflows as
-        long as each pushed block fits alongside one window of carry
-        (capacity >= window_size - hop + len(samples)); a larger block
-        raises rather than silently dropping window-aligned samples.
+        """Accept a sample block of any size; return the columns it
+        completed.
 
         Composed entirely of the scheduler hooks — :meth:`ingest`,
         :meth:`poll_ready_windows`, :meth:`resolve` — with the
@@ -276,7 +268,7 @@ class StreamingTracker:
         :meth:`poll_ready_windows` are the caller's to finish.
         """
         return TrackerCheckpoint(
-            buffered=self.ring.peek(len(self.ring)),
+            buffered=self._carry.copy(),
             next_start=self._next_start,
             column_index=self._column_index,
             samples_seen=self._samples_seen,
@@ -288,32 +280,34 @@ class StreamingTracker:
         """Load a checkpoint into this (freshly constructed) tracker.
 
         Raises:
-            ValueError: the tracker already ingested samples, the
-                buffered carry cannot fit its ring, or the checkpoint's
-                counters are inconsistent.
+            ValueError: the tracker already ingested samples, the carry
+                holds a whole window (a checkpoint taken between pushes
+                never does: every complete window was drained), or the
+                checkpoint's counters are inconsistent.
         """
-        if self._samples_seen or len(self.ring):
+        if self._samples_seen:
             raise ValueError("restore requires a fresh tracker")
         buffered = np.asarray(checkpoint.buffered, dtype=complex)
         if buffered.ndim != 1:
             raise ValueError("checkpoint buffer must be one-dimensional")
-        if len(buffered) > self.ring.capacity:
+        if len(buffered) >= self.config.window_size:
             raise ValueError(
-                f"checkpoint carries {len(buffered)} buffered samples; "
-                f"ring capacity is {self.ring.capacity}"
+                f"checkpoint carries {len(buffered)} samples, a whole "
+                f"window of {self.config.window_size}; a carry between "
+                "pushes is shorter"
             )
         for name in ("next_start", "column_index", "samples_seen"):
             if getattr(checkpoint, name) < 0:
                 raise ValueError(f"checkpoint {name} cannot be negative")
-        if checkpoint.next_start + len(buffered) > checkpoint.samples_seen:
+        if len(buffered) != max(checkpoint.samples_seen - checkpoint.next_start, 0):
             raise ValueError(
-                "checkpoint counters are inconsistent: buffered carry "
-                "extends past samples_seen"
+                "checkpoint counters are inconsistent: the carry must hold "
+                "the samples from next_start to samples_seen"
             )
         if checkpoint.use_music != self.use_music:
             raise ValueError("checkpoint estimator family does not match")
         self.start_time_s = checkpoint.start_time_s
-        self.ring.push(buffered)
+        self._carry = buffered.copy()
         self._next_start = checkpoint.next_start
         self._column_index = checkpoint.column_index
         self._samples_seen = checkpoint.samples_seen
@@ -325,7 +319,7 @@ class StreamingTracker:
         The next window starts at the next sample to arrive: indexing
         continues from the samples already seen.
         """
-        self.ring.consume(len(self.ring))
+        self._carry = np.empty(0, dtype=complex)
         self._next_start = self._samples_seen
 
     @staticmethod

@@ -78,6 +78,7 @@ __all__ = [  # noqa: F822 - the codec names are re-exported imports
     "decode_samples",
     "column_to_wire",
     "column_from_wire",
+    "counter_from_wire",
     "tracker_checkpoint_to_wire",
     "tracker_checkpoint_from_wire",
     "error_frame",
@@ -181,6 +182,18 @@ def column_from_wire(payload: dict[str, Any]) -> SpectrogramColumn:
         raise ProtocolError(f"malformed column payload: {exc}") from None
 
 
+def counter_from_wire(value: Any, name: str) -> int:
+    """A checkpoint counter: a non-negative JSON integer, never a bool.
+
+    Raises:
+        ValueError: anything else — ``int()`` would read ``true`` as 1,
+            ``"5"`` as 5 and 41.9 as 41.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, not {value!r}")
+    return value
+
+
 def tracker_checkpoint_to_wire(checkpoint: TrackerCheckpoint) -> dict[str, Any]:
     """A :class:`TrackerCheckpoint` as its wire dict (bit-exact)."""
     return {
@@ -197,18 +210,24 @@ def tracker_checkpoint_from_wire(payload: Any) -> TrackerCheckpoint:
     """Rebuild a :class:`TrackerCheckpoint` from its wire dict.
 
     Raises:
-        ProtocolError: the payload is not a well-formed checkpoint.
+        ProtocolError: the payload is not a well-formed checkpoint: a
+            field is missing or of the wrong JSON type.
     """
     if not isinstance(payload, dict):
         raise ProtocolError("tracker checkpoint must be a JSON object")
     try:
+        start_time_s, use_music = payload["start_time_s"], payload["use_music"]
+        if isinstance(start_time_s, bool) or not isinstance(start_time_s, (int, float)):
+            raise ValueError(f"start_time_s must be a number, not {start_time_s!r}")
+        if not isinstance(use_music, bool):
+            raise ValueError(f"use_music must be a boolean, not {use_music!r}")
         return TrackerCheckpoint(
             buffered=decode_samples(payload["buffered"]),
-            next_start=int(payload["next_start"]),
-            column_index=int(payload["column_index"]),
-            samples_seen=int(payload["samples_seen"]),
-            start_time_s=float(payload["start_time_s"]),
-            use_music=bool(payload["use_music"]),
+            next_start=counter_from_wire(payload["next_start"], "next_start"),
+            column_index=counter_from_wire(payload["column_index"], "column_index"),
+            samples_seen=counter_from_wire(payload["samples_seen"], "samples_seen"),
+            start_time_s=float(start_time_s),
+            use_music=use_music,
         )
     except ProtocolError:
         raise

@@ -588,7 +588,6 @@ class SensingServer:
                 sample_rate_hz=1.0 / config.sample_period_s,
                 use_music=use_music,
                 start_time_s=float(start_time_s),
-                ring_capacity=session.tracker.ring.capacity,
                 extra={"session": session.id},
             )
             session.recorder = CaptureRecorder(writer)

@@ -37,12 +37,11 @@ from repro.runtime.pipeline import (
     DetectionEvent,
     HealthEvent,
 )
-from repro.runtime.ring import SampleBlock
+from repro.hardware.streaming import SampleBlock
 from repro.runtime.tracker import (
     PendingWindow,
     SpectrogramColumn,
     StreamingTracker,
-    ring_capacity_for,
 )
 from repro.core.tracking import SpectrogramFrame
 from repro.serve import protocol
@@ -108,13 +107,6 @@ class SessionStats:
 STATS_FIELDS = tuple(f.name for f in fields(SessionStats))
 
 
-def _counter(value: Any, name: str) -> int:
-    """A checkpoint counter: a non-negative JSON integer, never a bool."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, not {value!r}")
-    return value
-
-
 @dataclass
 class IngestResult:
     """What one accepted push produced (before estimation)."""
@@ -139,10 +131,7 @@ class ServeSession:
         self.use_music = use_music
         self.resumable = resumable
         self.tracker = StreamingTracker(
-            config,
-            start_time_s=start_time_s,
-            use_music=use_music,
-            ring_capacity=ring_capacity_for(config, protocol.MAX_PUSH_SAMPLES),
+            config, start_time_s=start_time_s, use_music=use_music
         )
         self.condition = ConditionStage()
         self.detector = DetectStage(theta_grid_deg=config.theta_grid_deg)
@@ -237,18 +226,18 @@ class ServeSession:
             )
             session.tracker.restore(tracker_cp)
             session.condition.machine.restore_state(checkpoint.get("health", {}))
-            session.condition.bad_block_count = _counter(
+            session.condition.bad_block_count = protocol.counter_from_wire(
                 checkpoint.get("bad_blocks", 0), "bad_blocks"
             )
             stats = checkpoint.get("stats", {})
             if not isinstance(stats, dict):
                 raise ValueError("stats must be a JSON object")
             for name in STATS_FIELDS:
-                setattr(session.stats, name, _counter(stats.get(name, 0), name))
-            last_seq = checkpoint.get("last_seq", 0)
-            if isinstance(last_seq, bool) or not isinstance(last_seq, int):
-                raise ValueError("last_seq must be an integer")
-            session.last_seq = max(0, last_seq)
+                value = protocol.counter_from_wire(stats.get(name, 0), name)
+                setattr(session.stats, name, value)
+            session.last_seq = protocol.counter_from_wire(
+                checkpoint.get("last_seq", 0), "last_seq"
+            )
         except (ProtocolError, TypeError, ValueError) as exc:
             raise SessionResumeError(f"cannot resume session: {exc}") from None
         if session.health is DeviceHealth.FAILED:

@@ -9,7 +9,6 @@ from repro.capture import CaptureRecorder, CaptureStore
 from repro.core.tracking import TrackingConfig
 from repro.hardware.streaming import RxStreamer
 from repro.runtime import (
-    BlockSource,
     DetectStage,
     GapEvent,
     StreamingPipeline,
@@ -81,7 +80,7 @@ def record_pipeline(
     )
     recorder = CaptureRecorder(writer)
     pipeline = StreamingPipeline(
-        BlockSource(streamer),
+        streamer,
         StreamingTracker(config),
         detector=DetectStage(config.theta_grid_deg),
         recorder=recorder,

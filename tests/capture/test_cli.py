@@ -90,10 +90,9 @@ class TestConsoleFlow:
         assert not (store / capture_id).exists()
 
 
-def test_record_and_replay_blocks_wider_than_the_default_ring(tmp_path):
-    # Blocks of 500 do not fit the tracker's default 4-window ring; the
-    # capture header carries the ring the run sized, so replay rebuilds
-    # the same tracker.
+def test_record_and_replay_blocks_wider_than_a_window(tmp_path):
+    # Blocks of 500 samples are five windows wide; the tracker takes any
+    # block size, so replay needs nothing about it from the header.
     result = _repro(
         "record", "--store", str(tmp_path), "--duration", "2",
         "--seed", "3", "--block-size", "500",

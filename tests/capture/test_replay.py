@@ -16,6 +16,7 @@ from repro.capture import (
     serve_config_overrides,
     verify_capture,
 )
+from repro.capture.format import HEADER_FILE
 from repro.capture.recorder import EVENT_COLUMN, EVENT_GAP, EVENT_HEALTH
 from repro.core.tracking import TrackingConfig
 from repro.errors import CaptureFormatError, CaptureIntegrityError
@@ -34,6 +35,21 @@ class TestOfflineReplay:
         assert sum(e["dropped_samples"] for e in gap_events) == sum(
             g.dropped_samples for g in gaps
         )
+        verification = verify_capture(reader)
+        assert verification.ok, verification.mismatches
+
+    def test_header_with_a_ring_capacity_still_verifies(
+        self, store, record, make_trace, fast_config
+    ):
+        # Captures recorded while the tracker kept a sized ring carry a
+        # ``ring_capacity`` key; the reader ignores it.
+        capture_id, _ = record(make_trace(), fast_config)
+        header_path = store.open(capture_id).path / HEADER_FILE
+        payload = json.loads(header_path.read_text())
+        payload["ring_capacity"] = 400
+        header_path.write_text(json.dumps(payload))
+        reader = store.open(capture_id)
+        assert reader.header.capture_id == capture_id
         verification = verify_capture(reader)
         assert verification.ok, verification.mismatches
 

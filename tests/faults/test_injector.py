@@ -1,10 +1,8 @@
 """Tests for fault application at the hardware boundary."""
 
 import numpy as np
-import pytest
 
 from repro.faults import FaultEvent, FaultInjector, FaultKind, FaultSchedule
-from repro.hardware.streaming import RxStreamer
 from repro.simulator.timeseries import ChannelSeries
 
 
@@ -124,30 +122,3 @@ def test_corrupt_series_offsets_by_device_clock():
     in_window = (times >= 0.5) & (times < 1.0)
     assert np.allclose(hit.samples[in_window], 0.0)
     assert hit.times_s is series.times_s  # metadata preserved
-
-
-def test_storm_streamer_charges_loss_counters():
-    streamer = RxStreamer(max_buffers=8)
-    for _ in range(6):
-        streamer.push(np.ones(100, dtype=complex))
-    event = FaultEvent(FaultKind.OVERFLOW_STORM, 0.0, 1.0, 0.5)
-    injector = FaultInjector(make_schedule(event))
-    dropped = injector.storm_streamer(streamer, event)
-    assert dropped == 3
-    assert streamer.overflow_count == 3
-    assert streamer.dropped_sample_count == 300
-    assert len(streamer) == 3
-    # The next buffer delivered after the storm carries the loss (the
-    # UHD 'O': the discontinuity is reported where the stream resumes),
-    # and the buffers after it are contiguous.
-    received = [streamer.recv() for _ in range(3)]
-    assert [buffer.dropped_before for buffer in received] == [300, 0, 0]
-    assert injector.log[-1].kind is FaultKind.OVERFLOW_STORM
-
-
-def test_storm_streamer_rejects_other_kinds():
-    injector = FaultInjector(make_schedule())
-    with pytest.raises(ValueError):
-        injector.storm_streamer(
-            RxStreamer(), FaultEvent(FaultKind.NAN_BURST, 0.0, 0.1, 0.0)
-        )

@@ -71,20 +71,44 @@ def test_rx_starved_read_accounting():
     assert stream.delivered_sample_count == 8
 
 
-def test_rx_drop_oldest_explicit():
+def test_rx_start_index_stays_contiguous_across_a_drop():
+    # Two 16-sample buffers are evicted before the consumer reads: the
+    # delivered indices stay contiguous, and the first block after the
+    # hole carries it.
+    stream = RxStreamer(max_buffers=2)
+    for start in range(0, 64, 16):
+        stream.push(np.arange(start, start + 16, dtype=complex))
+    first, second = stream.recv(), stream.recv()
+    assert [first.start_index, second.start_index] == [0, 16]
+    assert [first.dropped_before, second.dropped_before] == [32, 0]
+    assert np.array_equal(first.samples, np.arange(32, 48, dtype=complex))
+    assert len(first) == 16
+
+
+def test_rx_close_is_not_starvation():
     stream = RxStreamer()
-    assert stream.drop_oldest() is None  # empty queue: nothing charged
-    assert stream.overflow_count == 0
-    stream.push(chunk(12, value=7.0))
-    stream.push(chunk(12, value=8.0))
-    victim = stream.drop_oldest()
-    assert victim is not None and victim[0] == 7.0
-    assert stream.overflow_count == 1
-    assert stream.dropped_sample_count == 12
-    # The drop is reported once, on the next buffer delivered.
-    stream.push(chunk(12))
-    assert stream.recv().dropped_before == 12
-    assert stream.recv().dropped_before == 0
+    assert stream.recv() is None
+    assert stream.starved_read_count == 1  # open + empty = underrun
+    stream.close()
+    # Orderly shutdown is not starvation: reads after close charge no
+    # further starved reads.
+    assert stream.recv() is None
+    assert stream.recv() is None
+    assert stream.starved_read_count == 1
+
+
+def test_rx_blocks_then_tail_after_close():
+    stream = RxStreamer()
+    stream.push(np.arange(0, 10, dtype=complex))
+    assert len(stream.recv()) == 10
+    assert stream.recv() is None  # stream still open, nothing queued
+    stream.push(np.arange(10, 13, dtype=complex))
+    stream.close()
+    # Already-queued buffers stay receivable after close, indexed on.
+    tail = stream.recv()
+    assert (len(tail), tail.start_index) == (3, 10)
+    assert np.array_equal(tail.samples, np.arange(10, 13, dtype=complex))
+    assert stream.recv() is None
 
 
 def test_rx_validation():

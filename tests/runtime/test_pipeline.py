@@ -8,7 +8,6 @@ from repro.core.tracking import compute_spectrogram
 from repro.hardware.streaming import RxStreamer
 from repro.runtime import pipeline as pipeline_module
 from repro.runtime import (
-    BlockSource,
     ColumnEvent,
     ConditionStage,
     DetectStage,
@@ -36,9 +35,14 @@ def _chunks(samples, size):
 
 
 def _pipeline(samples, config, chunk=64, **kwargs):
-    source = BlockSource(iter(_chunks(samples, chunk)))
+    # A closed stream deep enough for every chunk: nothing is dropped.
+    chunks = _chunks(samples, chunk)
+    streamer = RxStreamer(max_buffers=len(chunks))
+    for block in chunks:
+        streamer.push(block)
+    streamer.close()
     tracker = StreamingTracker(config)
-    return StreamingPipeline(source, tracker, **kwargs), tracker
+    return StreamingPipeline(streamer, tracker, **kwargs), tracker
 
 
 class TestEventFlow:
@@ -88,7 +92,7 @@ class TestEventFlow:
         samples = _trace(rng, num_samples=256)
         streamer = RxStreamer()
         tracker = StreamingTracker(fast_tracking_config)
-        pipeline = StreamingPipeline(BlockSource(streamer), tracker)
+        pipeline = StreamingPipeline(streamer, tracker)
 
         streamer.push(samples[:128])
         first = list(pipeline.process())
@@ -160,7 +164,7 @@ class TestGaps:
         samples = _trace(rng, num_samples=12 * 64)
         blocks = _chunks(samples, 64)
         streamer = RxStreamer(max_buffers=2)
-        pipeline = StreamingPipeline(BlockSource(streamer), StreamingTracker(config))
+        pipeline = StreamingPipeline(streamer, StreamingTracker(config))
         events = []
         for k, block in enumerate(blocks):
             streamer.push(block)

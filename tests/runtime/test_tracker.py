@@ -8,7 +8,9 @@ serving path by the differential harness (``tests/test_differential.py``).
 import numpy as np
 import pytest
 
+from repro.core.tracking import TrackingConfig, compute_spectrogram
 from repro.runtime import StreamingTracker
+from repro.serve.protocol import MAX_PUSH_SAMPLES
 
 from tests.helpers import synthetic_trace
 
@@ -31,14 +33,30 @@ class TestTrackerMechanics:
         assert tracker.columns_emitted == len(columns)
         assert tracker.samples_seen == len(samples)
 
-    def test_oversize_block_raises_instead_of_dropping(self, fast_tracking_config):
-        tracker = StreamingTracker(fast_tracking_config, ring_capacity=128)
-        with pytest.raises(ValueError, match="cannot fit"):
-            tracker.push(np.zeros(129, dtype=complex))
+    def test_one_push_of_the_largest_served_block_plus_a_window(self, rng):
+        # Any block size works, the largest a served push may carry
+        # plus a window included.
+        config = TrackingConfig()
+        samples = synthetic_trace(rng, num_samples=MAX_PUSH_SAMPLES + config.window_size)
+        tracker = StreamingTracker(config)
+        columns = tracker.push(samples)
+        assert len(columns) == 656
+        online = StreamingTracker.assemble(columns, config)
+        assert np.array_equal(online.power, compute_spectrogram(samples, config).power)
+        assert len(tracker.checkpoint().buffered) < config.window_size
 
-    def test_capacity_must_hold_a_window(self, fast_tracking_config):
-        with pytest.raises(ValueError, match="one full window"):
-            StreamingTracker(fast_tracking_config, ring_capacity=32)
+    @pytest.mark.parametrize("block_size", [1, 7, 64, 1000])
+    def test_hop_wider_than_a_window_skips_the_samples_between(self, rng, block_size):
+        # After each window the carry is spent, and the next window
+        # starts past samples that have not arrived yet.
+        config = TrackingConfig(window_size=32, hop=50, subarray_size=12)
+        samples = synthetic_trace(rng, num_samples=1000)
+        tracker = StreamingTracker(config)
+        columns = _push_in_blocks(tracker, samples, block_size)
+        offline = compute_spectrogram(samples, config)
+        online = StreamingTracker.assemble(columns, config)
+        assert np.array_equal(online.power, offline.power)
+        assert np.array_equal(online.times_s, offline.times_s)
 
     def test_reset_restarts_windows_cleanly(self, rng, fast_tracking_config):
         samples = synthetic_trace(rng, num_samples=300)
@@ -94,7 +112,7 @@ class TestSchedulerHooks:
         assert tracker.expected_windows(0) == 0
 
     def test_pending_windows_are_detached_copies(self, rng, fast_tracking_config):
-        # A pending window must stay valid after the ring moves on —
+        # A pending window must stay valid after the carry moves on —
         # the scheduler may estimate it long after later pushes landed.
         samples = synthetic_trace(rng, num_samples=200)
         tracker = StreamingTracker(fast_tracking_config)
@@ -107,8 +125,6 @@ class TestSchedulerHooks:
             assert np.array_equal(p.samples, snap)
 
     def test_ingest_validates_like_push(self, fast_tracking_config):
-        tracker = StreamingTracker(fast_tracking_config, ring_capacity=128)
+        tracker = StreamingTracker(fast_tracking_config)
         with pytest.raises(ValueError, match="one-dimensional"):
             tracker.ingest(np.zeros((4, 4), dtype=complex))
-        with pytest.raises(ValueError, match="cannot fit"):
-            tracker.ingest(np.zeros(129, dtype=complex))

@@ -70,10 +70,9 @@ def test_stream_command_beamforming_path(capsys):
     assert "[music]" not in output
 
 
-def test_stream_command_takes_blocks_wider_than_the_default_ring(capsys):
-    # Blocks of 500 do not fit the tracker's default 4-window ring (400
-    # samples); the ring is sized for the block size, and the columns do
-    # not depend on it.
+def test_stream_command_columns_do_not_depend_on_the_block_size(capsys):
+    # Blocks of 500 samples are five windows wide; the tracker takes any
+    # block size, and the columns do not depend on it.
     lines = {}
     for block_size in ("64", "500"):
         code = main(

@@ -43,7 +43,8 @@ from repro.core.tracking import TrackingConfig, compute_beamformed_frame, comput
 from repro.dsp.backend import backend_names, use_backend
 from repro.errors import DeviceFailedError, SequenceError
 from repro.fleet import FleetConfig, FleetServer, frontend
-from repro.runtime import BlockSource, StreamingPipeline, StreamingTracker
+from repro.hardware.streaming import RxStreamer
+from repro.runtime import StreamingPipeline, StreamingTracker
 from repro.runtime.tracker import SpectrogramColumn
 from repro.serve import AsyncServeClient, SensingServer, ServeConfig
 from repro.serve import resilient
@@ -126,7 +127,7 @@ class TrackerPath(Path):
     """``StreamingTracker.push``; resume, crash and drain restore a checkpoint."""
 
     async def open(self, stream, checkpoint=None):
-        tracker = StreamingTracker(CONFIG, stream.start_time_s, stream.use_music, WINDOW + MAX_PUSH)
+        tracker = StreamingTracker(CONFIG, stream.start_time_s, stream.use_music)
         if checkpoint is not None:
             tracker.restore(checkpoint)
         self.clients[stream.slot] = tracker
@@ -153,26 +154,29 @@ class TrackerPath(Path):
 
 
 class PipelinePath(Path):
-    """``StreamingPipeline`` over ``BlockSource(iter(pushes))``, run at close.
+    """``StreamingPipeline`` over a receive stream of the pushes, run at close.
 
-    Each push is one block, and an iterable upstream never drops.  The run
-    records into a capture store through the pipeline's recorder; the capture
-    must pass ``verify_capture``, and its ``replay_columns`` are held to the
-    model too.
+    Each push is one block, and the stream is deep enough for all of them, so
+    it never drops.  The run records into a capture store through the
+    pipeline's recorder; the capture must pass ``verify_capture``, and its
+    ``replay_columns`` are held to the model too.
     """
 
     async def close(self, stream):
         stream.closed, stream.report = True, (0, 0)
         if stream.blocks:
-            tracker = StreamingTracker(CONFIG, stream.start_time_s, stream.use_music, WINDOW + MAX_PUSH)
+            tracker = StreamingTracker(CONFIG, stream.start_time_s, stream.use_music)
             store = CaptureStore(self.workdir)
             writer = store.create(
                 "stream", CONFIG, 1.0 / CONFIG.sample_period_s, use_music=stream.use_music,
-                start_time_s=stream.start_time_s, ring_capacity=WINDOW + MAX_PUSH,
+                start_time_s=stream.start_time_s,
             )
+            streamer = RxStreamer(max_buffers=len(stream.blocks))
+            for block in stream.blocks:
+                streamer.push(block)
+            streamer.close()
             with CaptureRecorder(writer) as recorder:
-                source = BlockSource(iter(stream.blocks))
-                result = StreamingPipeline(source, tracker, recorder=recorder).run()
+                result = StreamingPipeline(streamer, tracker, recorder=recorder).run()
             assert not result.gaps
             stream.columns = result.columns
             stream.report = (tracker.samples_seen, len(result.columns))
