@@ -160,16 +160,22 @@ def screen_block(samples: np.ndarray) -> BlockHealth:
     samples = np.asarray(samples)
     if len(samples) == 0:
         raise ValueError("cannot screen an empty block")
+    # One pass per measure and no copy of the finite samples: a
+    # non-finite sample never equals 0, and its rail reads 0, which
+    # counts only if every finite rail is 0 too, and then nothing
+    # counts as clipped.
     finite = np.isfinite(samples)
-    nan_fraction = float(np.mean(~finite))
-    zero_fraction = float(np.mean(samples[finite] == 0.0)) if finite.any() else 0.0
+    num_finite = int(np.count_nonzero(finite))
+    nan_fraction = (len(samples) - num_finite) / len(samples)
+    zero_fraction = int(np.count_nonzero(samples == 0.0)) / max(num_finite, 1)
+    rails = np.maximum(
+        np.abs(samples.real), np.abs(samples.imag), where=finite, out=np.zeros(len(samples))
+    )
+    peak = float(rails.max())
     saturation_fraction = 0.0
-    if finite.any():
-        rails = np.maximum(np.abs(samples[finite].real), np.abs(samples[finite].imag))
-        peak = float(rails.max())
-        if peak > 0.0:
-            at_rail = int(np.count_nonzero(rails >= 0.999 * peak))
-            saturation_fraction = (at_rail - 1) / len(samples)
+    if peak > 0.0:
+        at_rail = int(np.count_nonzero(rails >= 0.999 * peak))
+        saturation_fraction = (at_rail - 1) / len(samples)
     return BlockHealth(
         nan_fraction=nan_fraction,
         zero_fraction=zero_fraction,

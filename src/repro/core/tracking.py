@@ -227,24 +227,6 @@ def compute_diversity_spectrogram(
     )
 
 
-def _beamformed_fallback_rows(
-    windows: np.ndarray,
-    config: TrackingConfig,
-    backend: DspBackend | None = None,
-) -> np.ndarray:
-    """Plain Eq. 5.1 spectra for a stack of windows MUSIC rejected.
-
-    Non-finite samples (a NaN burst the screen let through) are zeroed
-    first: beamforming degrades gracefully with missing elements,
-    whereas a single NaN would poison the whole row.  The steering
-    table comes from the shared :mod:`repro.dsp.steering` cache (in
-    the backend's dtype), so fallback-heavy fault-injection runs stop
-    rebuilding it per window.
-    """
-    backend = backend if backend is not None else active_backend()
-    return backend.beamform_fallback_batch(windows, config)
-
-
 @dataclass(frozen=True)
 class SpectrogramFrame:
     """One window's worth of the A'[theta, n] image.
@@ -340,19 +322,20 @@ def estimate_windows_batch(
     backend = backend if backend is not None else active_backend()
     windows = np.asarray(windows, dtype=complex)
     num_windows, window_size = windows.shape
-    theta_grid = config.theta_grid_deg
-    power = np.empty((num_windows, len(theta_grid)))
+    power = np.empty((num_windows, len(config.theta_grid_deg)))
     counts = np.zeros(num_windows, dtype=int)
     estimators = np.full(num_windows, ESTIMATOR_BEAMFORMING, dtype=object)
+    reasons = np.full(num_windows, "non-finite", dtype=object)
     telemetry = get_telemetry()
 
     # Windows with non-finite samples can never attempt MUSIC (the
     # covariance would poison the stacked eigh); they go straight to
-    # the fallback, mirroring the per-window non-finite raise.
-    finite = np.all(np.isfinite(windows), axis=1)
-    reasons = np.full(num_windows, "non-finite", dtype=object)
-    music_rows = np.flatnonzero(finite)
-    if music_rows.size:
+    # the fallback, mirroring the per-window non-finite raise.  Every
+    # window is finite on clean data; a full slice then hands the stack
+    # on as it is, where a mask would copy it.
+    finite = np.isfinite(windows).all(axis=1)
+    music_rows = slice(None) if finite.all() else finite
+    if finite.any():
         result = pool.music_batch(backend, windows[music_rows], config)
         if telemetry.enabled:
             windows_counter = telemetry.metrics.counter("music.windows")
@@ -364,23 +347,23 @@ def estimate_windows_batch(
                     window_size=window_size,
                     subarray_size=config.subarray_size,
                 )
+        # Rejected rows carry a source count of 0, and their power is
+        # replaced by the fallback below.
         reasons[music_rows] = result.reasons
-        passed = result.reasons == REASON_OK
-        ok_rows = music_rows[passed]
-        if ok_rows.size:
-            power[ok_rows] = result.power[passed]
-            counts[ok_rows] = result.source_counts[passed]
-            estimators[ok_rows] = ESTIMATOR_MUSIC
+        power[music_rows] = result.power
+        counts[music_rows] = result.source_counts
+    passed = reasons == REASON_OK
+    estimators[passed] = ESTIMATOR_MUSIC
 
-    fallback_rows = np.flatnonzero(reasons != REASON_OK)
+    fallback_rows = np.flatnonzero(~passed)
     if fallback_rows.size:
         if telemetry.enabled:
             fallback_counter = telemetry.metrics.counter("music.fallbacks")
             for row in fallback_rows:
                 fallback_counter.inc()
                 telemetry.events.emit("music.fallback", reason=reasons[row])
-        power[fallback_rows] = _beamformed_fallback_rows(
-            windows[fallback_rows], config, backend=backend
+        power[fallback_rows] = backend.beamform_fallback_batch(
+            windows[fallback_rows], config
         )
     return power, counts, estimators
 

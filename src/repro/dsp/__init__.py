@@ -59,6 +59,7 @@ from repro.dsp.eig import (
     classify_covariance_batch,
     eigh_descending_batch,
     estimate_source_counts_batch,
+    sorted_source_counts_batch,
 )
 from repro.dsp.spectrum import beamform_batch, music_pseudospectra_batch
 from repro.dsp.steering import (
@@ -68,7 +69,7 @@ from repro.dsp.steering import (
     compute_steering_matrix,
     steering_matrix,
 )
-from repro.dsp.windows import sliding_windows, subarray_view, window_starts
+from repro.dsp.windows import sliding_windows, subarray_stack, window_starts
 
 __all__ = [
     "DEFAULT_BACKEND",
@@ -94,8 +95,9 @@ __all__ = [
     "set_active_backend",
     "sliding_windows",
     "smoothed_covariance_batch",
+    "sorted_source_counts_batch",
     "steering_matrix",
-    "subarray_view",
+    "subarray_stack",
     "use_backend",
     "window_starts",
 ]

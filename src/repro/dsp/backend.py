@@ -36,6 +36,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Iterator
 
 import numpy as np
@@ -45,10 +46,10 @@ from repro.dsp.eig import (
     REASON_OK,
     classify_covariance_batch,
     eigh_descending_batch,
-    estimate_source_counts_batch,
+    sorted_source_counts_batch,
 )
 from repro.dsp.spectrum import beamform_batch, music_pseudospectra_batch
-from repro.dsp.steering import steering_matrix
+from repro.dsp.steering import MAX_CACHE_ENTRIES, steering_matrix
 from repro.errors import DspBackendError
 from repro.telemetry.context import get_telemetry
 
@@ -145,7 +146,8 @@ class DspBackend:
         max_sources: int = 4,
         dominance_db: float = 6.0,
     ) -> np.ndarray:
-        return estimate_source_counts_batch(eigenvalues, max_sources, dominance_db)
+        """Source counts of guard-passed rows straight from :meth:`eigh_descending_batch`."""
+        return sorted_source_counts_batch(eigenvalues, max_sources, dominance_db)
 
     def music_pseudospectra_batch(
         self,
@@ -159,14 +161,15 @@ class DspBackend:
         return beamform_batch(windows, steering)
 
     def steering_for(self, config: Any, array_size: int | None = None) -> np.ndarray:
-        """The memoized steering table in this backend's dtype."""
-        return steering_matrix(
-            config.theta_grid_deg,
-            config.subarray_size if array_size is None else array_size,
-            config.spacing_m,
-            config.wavelength_m,
-            dtype=self.steering_dtype,
-        )
+        """The memoized steering table in this backend's dtype.
+
+        Looked up by (config, array size) in a bounded memo in front of
+        the steering cache, so a pass does not rebuild the cache key
+        from the theta grid's bytes.
+        """
+        if array_size is None:
+            array_size = config.subarray_size
+        return _steering_for(config, array_size, self.steering_dtype)
 
     # -- fused passes ---------------------------------------------------
 
@@ -186,17 +189,20 @@ class DspBackend:
         values, vectors = self.eigh_descending_batch(covariance)
         reasons = self.classify_covariance_batch(values, config.condition_limit)
         counts = np.zeros(num_windows, dtype=int)
-        power = np.zeros((num_windows, len(config.theta_grid_deg)))
+        steering = self.steering_for(config)
+        power = np.zeros((num_windows, steering.shape[0]))
         passed = reasons == REASON_OK
-        if np.any(passed):
+        # Every row passes on clean data; a full slice then hands the
+        # stacks on as they are, where a mask would copy them.
+        rows = slice(None) if passed.all() else passed
+        if passed.any():
             source_counts = self.estimate_source_counts_batch(
-                values[passed], config.max_sources
+                values[rows], config.max_sources
             )
-            steering = self.steering_for(config)
-            power[passed] = self.music_pseudospectra_batch(
-                steering, vectors[passed], source_counts
+            power[rows] = self.music_pseudospectra_batch(
+                steering, vectors[rows], source_counts
             )
-            counts[passed] = source_counts
+            counts[rows] = source_counts
         return MusicBatchResult(
             power=power,
             source_counts=counts,
@@ -221,6 +227,18 @@ class DspBackend:
         return np.asarray(
             self.beamform_batch(patched, steering), dtype=float
         )
+
+
+@lru_cache(maxsize=MAX_CACHE_ENTRIES)
+def _steering_for(config: Any, array_size: int, dtype: Any) -> np.ndarray:
+    """:meth:`DspBackend.steering_for`'s memo, bounded like the steering cache."""
+    return steering_matrix(
+        config.theta_grid_deg,
+        array_size,
+        config.spacing_m,
+        config.wavelength_m,
+        dtype=dtype,
+    )
 
 
 class NumpyFloat64Backend(DspBackend):

@@ -51,7 +51,7 @@ from repro.dsp.backend import (
 from repro.dsp.blas import pin_blas
 from repro.dsp.eig import REASON_OK
 from repro.dsp.steering import steering_matrix
-from repro.dsp.windows import subarray_view
+from repro.dsp.windows import subarray_stack
 
 _EPS32 = float(np.finfo(np.float32).eps)
 
@@ -176,7 +176,7 @@ class NumpyFloat32Backend(DspBackend):
             return MusicBatchResult(power, out_counts, reasons, eigenvalues)
 
         stack32 = windows.astype(np.complex64)
-        subarrays = np.ascontiguousarray(subarray_view(stack32, m))
+        subarrays = subarray_stack(stack32, m)
         covariance = np.matmul(subarrays.transpose(0, 2, 1), subarrays.conj())
         covariance /= np.float32(subarrays.shape[1])
         covariance = np.complex64(0.5) * (

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dsp.windows import subarray_view
+from repro.dsp.windows import subarray_stack
 
 
 def smoothed_covariance_batch(
@@ -44,18 +44,21 @@ def smoothed_covariance_batch(
     windows = np.asarray(windows, dtype=complex)
     if windows.ndim != 2:
         raise ValueError("windows must be two-dimensional (a stack of windows)")
-    w = windows.shape[1]
-    num_subarrays = w - subarray_size + 1
-    # Contiguous copy normalizes the memory layout so the per-window
-    # matmul takes the same code path whether the stack came from a
-    # strided series view (offline) or a single buffered window
+    # The contiguous stack normalizes the memory layout so the
+    # per-window matmul takes the same code path whether the stack came
+    # from a strided series view (offline) or a single buffered window
     # (streaming) — part of the batch-stability contract.
-    subarrays = np.ascontiguousarray(subarray_view(windows, subarray_size))
+    subarrays = subarray_stack(windows, subarray_size)
     covariance = np.matmul(subarrays.transpose(0, 2, 1), subarrays.conj())
-    covariance /= num_subarrays
+    covariance /= subarrays.shape[1]
     if forward_backward:
         # J R* J with exchange matrix J is exactly a reversal of both
         # axes; the permutation is lossless so this matches the legacy
-        # explicit-J product bit for bit.
-        covariance = 0.5 * (covariance + covariance[:, ::-1, ::-1].conj())
+        # explicit-J product bit for bit.  Addition commutes and the
+        # in-place halving is the same multiply, so the bits are those
+        # of 0.5 * (R + J R* J).
+        averaged = covariance[:, ::-1, ::-1].conj()
+        averaged += covariance
+        averaged *= 0.5
+        return averaged
     return covariance

@@ -11,9 +11,22 @@ batch size (the batch-stability contract of
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.dsp.blas import pin_blas
+from repro.dsp.steering import MAX_CACHE_ENTRIES
+
+_TINY = np.finfo(float).tiny
+
+
+@lru_cache(maxsize=MAX_CACHE_ENTRIES)
+def _noise_masks(m: int) -> np.ndarray:
+    """(m, m) zero/one table: row k selects eigenvector columns k and up."""
+    masks = (np.arange(m) >= np.arange(m)[:, np.newaxis]).astype(float)
+    masks.setflags(write=False)
+    return masks
 
 
 def music_pseudospectra_batch(
@@ -48,9 +61,8 @@ def music_pseudospectra_batch(
         raise ValueError("source count must be in (0, subarray size)")
     projections = np.matmul(steering, eigenvectors.conj())
     magnitudes = np.abs(projections) ** 2
-    noise_mask = (np.arange(m) >= source_counts[:, np.newaxis]).astype(float)
-    denominator = np.einsum("naj,nj->na", magnitudes, noise_mask)
-    denominator = np.maximum(denominator, np.finfo(float).tiny)
+    denominator = np.einsum("naj,nj->na", magnitudes, _noise_masks(m)[source_counts])
+    denominator = np.maximum(denominator, _TINY)
     return np.sqrt(1.0 / denominator)
 
 

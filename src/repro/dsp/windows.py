@@ -8,14 +8,19 @@ window; a strided view exposes the whole stack at once so the batched
 covariance and beamforming kernels can consume every window in one
 shot.
 
-Views returned here are read-only (they alias the caller's data);
-kernels that need contiguous input copy explicitly.
+Window views returned here are read-only (they alias the caller's
+data).  The subarray stack is the one copy the covariance kernel
+needs: a contiguous gather through a cached index table.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from repro.dsp.steering import MAX_CACHE_ENTRIES
 
 
 def window_starts(num_samples: int, window_size: int, hop: int) -> np.ndarray:
@@ -51,13 +56,27 @@ def sliding_windows(
     return starts, windows
 
 
-def subarray_view(windows: np.ndarray, subarray_size: int) -> np.ndarray:
-    """Overlapping smoothing subarrays of a stack of windows.
+@lru_cache(maxsize=MAX_CACHE_ENTRIES)
+def _subarray_index(window_size: int, subarray_size: int) -> np.ndarray:
+    """(num_subarrays, subarray_size) sample offsets of each subarray."""
+    starts = np.arange(window_size - subarray_size + 1)[:, np.newaxis]
+    index = starts + np.arange(subarray_size)
+    index.setflags(write=False)
+    return index
 
-    For ``windows`` of shape (num_windows, w) returns a read-only view
-    of shape (num_windows, num_subarrays, subarray_size) with
+
+def subarray_stack(windows: np.ndarray, subarray_size: int) -> np.ndarray:
+    """Overlapping smoothing subarrays of a stack of windows, as one copy.
+
+    For ``windows`` of shape (num_windows, w) returns a C-contiguous
+    (num_windows, num_subarrays, subarray_size) array with
     ``num_subarrays = w - subarray_size + 1`` — the §5.2 partition of
-    each emulated array, for every window at once.
+    each emulated array, for every window at once.  ``np.take`` along
+    the sample axis, through an index table cached per (w, w′) and
+    bounded like the steering cache, builds it in one gather whatever
+    the layout of ``windows``.  (Fancy indexing ``windows[:, index]``
+    gives the same values with the batch axis innermost, which slows
+    the covariance matmul down at large batches.)
     """
     windows = np.asarray(windows)
     if windows.ndim != 2:
@@ -65,4 +84,4 @@ def subarray_view(windows: np.ndarray, subarray_size: int) -> np.ndarray:
     w = windows.shape[1]
     if not 1 < subarray_size <= w:
         raise ValueError("subarray size must be in (1, window size]")
-    return sliding_window_view(windows, subarray_size, axis=1)
+    return np.take(windows, _subarray_index(w, subarray_size), axis=1)

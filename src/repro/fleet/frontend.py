@@ -594,12 +594,10 @@ class _ClientRelay:
         pooled = self.backends.get(key)
         if pooled is not None and not pooled[1].is_closing():
             return pooled
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(
+        async with asyncio.timeout(BACKEND_TIMEOUT_S):
+            reader, writer = await asyncio.open_connection(
                 "127.0.0.1", state.handle.port, limit=protocol.MAX_FRAME_BYTES
-            ),
-            timeout=BACKEND_TIMEOUT_S,
-        )
+            )
         self.backends[key] = (reader, writer)
         return reader, writer
 
@@ -623,10 +621,9 @@ class _ClientRelay:
             reader, writer = await self._backend(state)
             writer.write(line)
             await writer.drain()
-            reply = await asyncio.wait_for(
-                reader.readline(), timeout=BACKEND_TIMEOUT_S
-            )
-        except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
+            async with asyncio.timeout(BACKEND_TIMEOUT_S):
+                reply = await reader.readline()
+        except (ConnectionError, OSError, TimeoutError) as exc:
             self._drop_backend(key)
             raise WorkerCrashedError(
                 f"shard {state.name} did not answer: {type(exc).__name__}"

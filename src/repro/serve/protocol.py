@@ -53,6 +53,7 @@ socket.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -206,6 +207,25 @@ def tracker_checkpoint_to_wire(checkpoint: TrackerCheckpoint) -> dict[str, Any]:
     }
 
 
+def start_time_from_wire(value: Any) -> float:
+    """A session's ``start_time_s`` as read from the wire.
+
+    JSON's ``NaN`` and ``Infinity`` decode as floats, but every window
+    time would read nan or inf, so only a finite number that is not a
+    bool passes.
+
+    Raises:
+        ProtocolError: the value is a bool, not a number, or not finite.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+    ):
+        raise ProtocolError(f"start_time_s must be a finite number, not {value!r}")
+    return float(value)
+
+
 def tracker_checkpoint_from_wire(payload: Any) -> TrackerCheckpoint:
     """Rebuild a :class:`TrackerCheckpoint` from its wire dict.
 
@@ -216,9 +236,7 @@ def tracker_checkpoint_from_wire(payload: Any) -> TrackerCheckpoint:
     if not isinstance(payload, dict):
         raise ProtocolError("tracker checkpoint must be a JSON object")
     try:
-        start_time_s, use_music = payload["start_time_s"], payload["use_music"]
-        if isinstance(start_time_s, bool) or not isinstance(start_time_s, (int, float)):
-            raise ValueError(f"start_time_s must be a number, not {start_time_s!r}")
+        use_music = payload["use_music"]
         if not isinstance(use_music, bool):
             raise ValueError(f"use_music must be a boolean, not {use_music!r}")
         return TrackerCheckpoint(
@@ -226,7 +244,7 @@ def tracker_checkpoint_from_wire(payload: Any) -> TrackerCheckpoint:
             next_start=counter_from_wire(payload["next_start"], "next_start"),
             column_index=counter_from_wire(payload["column_index"], "column_index"),
             samples_seen=counter_from_wire(payload["samples_seen"], "samples_seen"),
-            start_time_s=float(start_time_s),
+            start_time_s=start_time_from_wire(payload["start_time_s"]),
             use_music=use_music,
         )
     except ProtocolError:

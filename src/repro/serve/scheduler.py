@@ -383,9 +383,10 @@ class MicroBatchScheduler:
         poll = min(timeout / 4.0, 0.05)
         while True:
             try:
-                await asyncio.wait_for(self._watchdog_stop.wait(), timeout=poll)
+                async with asyncio.timeout(poll):
+                    await self._watchdog_stop.wait()
                 return
-            except asyncio.TimeoutError:
+            except TimeoutError:
                 pass
             if (
                 self._queue

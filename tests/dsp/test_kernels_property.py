@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 
 from repro.core.tracking import TrackingConfig, compute_spectrogram
 from repro.dsp.covariance import smoothed_covariance_batch
+from repro.core.music import estimate_source_count
 from repro.dsp.eig import (
     REASON_OK,
     classify_covariance_batch,
     eigh_descending_batch,
     estimate_source_counts_batch,
+    sorted_source_counts_batch,
 )
 from repro.dsp.reference import (
     check_conditioning_reference,
@@ -107,3 +109,59 @@ def test_full_pipeline_matches_oracle(windows):
     np.testing.assert_allclose(spectrogram.power, power, rtol=1e-12, atol=1e-12)
     assert np.array_equal(spectrogram.source_counts, counts)
     assert np.array_equal(spectrogram.estimators, estimators)
+
+
+@st.composite
+def eigh_rows(draw):
+    """Descending eigenvalue rows straight from ``eigh``, of either half parity.
+
+    Covariances of any rank from 1 to m, so the smaller half ranges from
+    distinct values to a run of near-zero ties.
+    """
+    m = draw(st.integers(2, 40))
+    rank = draw(st.integers(1, m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(1, 6)), m, rank)
+    basis = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    values, _ = eigh_descending_batch(basis @ basis.conj().transpose(0, 2, 1))
+    return values
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    eigh_rows(),
+    st.integers(1, 40),
+    st.sampled_from([0.0, 3.0, 6.0, 10.0]),
+)
+def test_sorted_row_median_counts_like_np_median(values, max_sources, dominance_db):
+    # At 0 dB the threshold is the median itself, so a middle entry
+    # taken one place off changes the count.
+    counts = sorted_source_counts_batch(values, max_sources, dominance_db)
+    assert np.array_equal(
+        counts, estimate_source_counts_batch(values, max_sources, dominance_db)
+    )
+    for row, count in zip(values, counts):
+        assert count == estimate_source_count_reference(row, max_sources, dominance_db)
+
+
+@settings(max_examples=60, deadline=None)
+@given(eigh_rows(), st.data())
+def test_public_counts_follow_np_median_off_exactly_sorted_rows(values, data):
+    # A NaN anywhere, or a smaller-half entry nudged above its
+    # neighbour by less than estimate_source_count's 1e-9 tolerance:
+    # the public kernel still answers as np.median does.
+    values = values.copy()
+    m = values.shape[1]
+    row = data.draw(st.integers(0, len(values) - 1))
+    if data.draw(st.booleans()) or m < 3:
+        values[row, data.draw(st.integers(0, m - 1))] = np.nan
+    else:
+        k = data.draw(st.integers(m // 2, m - 2))
+        values[row, k + 1] = values[row, k] + 1e-10 * max(abs(values[row, 0]), 1.0)
+        assert estimate_source_count(values[row], 40, 0.0) == (
+            estimate_source_count_reference(values[row], 40, 0.0)
+        )
+    for dominance_db in (0.0, 6.0):
+        counts = estimate_source_counts_batch(values, 40, dominance_db)
+        for k, count in enumerate(counts):
+            assert count == estimate_source_count_reference(values[k], 40, dominance_db)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dsp.windows import sliding_windows, subarray_view, window_starts
+from repro.dsp.windows import sliding_windows, subarray_stack, window_starts
 
 
 def test_window_starts_match_offline_walk():
@@ -40,20 +40,25 @@ def test_sliding_windows_rejects_matrices():
         sliding_windows(np.ones((4, 100)), 10, 5)
 
 
-def test_subarray_view_partitions_each_window(rng):
-    windows = rng.normal(size=(3, 10)) + 1j * rng.normal(size=(3, 10))
-    subs = subarray_view(windows, 4)
-    assert subs.shape == (3, 7, 4)
-    for n in range(3):
-        for s in range(7):
-            assert np.array_equal(subs[n, s], windows[n, s : s + 4])
-    assert np.shares_memory(subs, windows)
+def test_subarray_stack_partitions_each_window(rng):
+    series = rng.normal(size=40) + 1j * rng.normal(size=40)
+    # A strided window view (the offline layout) and its contiguous copy
+    # give the same contiguous stack, batch axis outermost.
+    _, windows = sliding_windows(series, 10, 3)
+    for source in (windows, np.ascontiguousarray(windows)):
+        subs = subarray_stack(source, 4)
+        assert subs.shape == (len(windows), 7, 4)
+        assert subs.flags.c_contiguous
+        assert not np.shares_memory(subs, series)
+        for n in range(len(windows)):
+            for s in range(7):
+                assert np.array_equal(subs[n, s], windows[n, s : s + 4])
 
 
-def test_subarray_view_validation():
+def test_subarray_stack_validation():
     with pytest.raises(ValueError, match="two-dimensional"):
-        subarray_view(np.ones(10), 4)
+        subarray_stack(np.ones(10), 4)
     with pytest.raises(ValueError, match="subarray size"):
-        subarray_view(np.ones((2, 10)), 1)
+        subarray_stack(np.ones((2, 10)), 1)
     with pytest.raises(ValueError, match="subarray size"):
-        subarray_view(np.ones((2, 10)), 11)
+        subarray_stack(np.ones((2, 10)), 11)

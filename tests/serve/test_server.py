@@ -18,6 +18,7 @@ from repro.errors import (
     ReproError,
     ServeOverloadError,
     SessionLimitError,
+    SessionResumeError,
 )
 from repro.serve import (
     AsyncServeClient,
@@ -282,6 +283,36 @@ class TestProtocolErrors:
         # Only the stats request itself: the probe stays uncounted.
         assert stats["server"]["requests"] == 1
 
+    @pytest.mark.parametrize(
+        "start_time_s",
+        [float("nan"), float("inf"), float("-inf")],
+        ids=["NaN", "Infinity", "-Infinity"],
+    )
+    def test_non_finite_start_time_refused_on_open_and_resume(self, rng, start_time_s):
+        """JSON's NaN and Infinity decode as floats, but every column's
+        ``time_s`` would read nan or inf: an open frame carrying one is
+        refused, and so is a resume checkpoint whose tracker does."""
+
+        async def run():
+            async with running_server() as server:
+                client = await _client(server)
+                with pytest.raises(ProtocolError, match="start_time_s"):
+                    await client.open_session(config=FAST, start_time_s=start_time_s)
+                await client.open_session(config=FAST, resumable=True)
+                reply = await client.push(_noise(rng, 64))
+                assert reply.columns
+                await client.aclose()
+                checkpoint = reply.checkpoint
+                checkpoint["tracker"]["start_time_s"] = start_time_s
+                client = await _client(server)
+                with pytest.raises(SessionResumeError, match="start_time_s"):
+                    await client.open_session(config=FAST, resume=checkpoint)
+                checkpoint["tracker"]["start_time_s"] = 0.0
+                await client.open_session(config=FAST, resume=checkpoint)
+                await client.aclose()
+
+        asyncio.run(run())
+
     def test_bad_session_config_rejected(self):
         async def run():
             async with running_server() as server:
@@ -377,6 +408,54 @@ class TestOverloadAndFaults:
                 await client.aclose()
 
         asyncio.run(run())
+
+
+class TestPerConfigCaches:
+    @pytest.mark.parametrize("backend", ["numpy-float64", "numpy-float32"])
+    def test_distinct_session_configs_stay_within_the_bound(self, rng, backend):
+        """Clients choose five config fields, so every table cached per
+        config, window size or subarray size is bounded: more distinct
+        configs than the bound, one window each, leave each cache at
+        most full."""
+        from repro.dsp import backend as dsp_backend
+        from repro.dsp import spectrum, steering, windows
+        from repro.dsp.backend import get_backend, use_backend
+
+        per_config = (
+            dsp_backend._steering_for,
+            windows._subarray_index,
+            spectrum._noise_masks,
+        )
+        for cache in per_config:
+            cache.cache_clear()
+        steering.clear_cache()
+        num_configs = steering.MAX_CACHE_ENTRIES + 6
+
+        async def run():
+            async with running_server() as server:
+                for k in range(num_configs):
+                    # Twice as many subarrays as elements: full rank, so
+                    # MUSIC accepts the window and every table is built.
+                    subarray = 4 + k
+                    size = 3 * subarray - 1
+                    client = await _client(server)
+                    await client.open_session(
+                        config={"window_size": size, "hop": size, "subarray_size": subarray}
+                    )
+                    reply = await client.push(_noise(rng, size))
+                    assert len(reply.columns) == 1
+                    await client.close_session()
+                    await client.aclose()
+
+        with use_backend(backend):
+            asyncio.run(run())
+        if backend == "numpy-float64":
+            for cache in per_config:
+                info = cache.cache_info()
+                assert info.misses >= num_configs
+                assert info.currsize == steering.MAX_CACHE_ENTRIES
+        assert steering.cache_info().entries <= steering.MAX_CACHE_ENTRIES
+        assert len(get_backend("numpy-float32")._steering_memo) <= 16
 
 
 class TestShutdown:
