@@ -310,9 +310,10 @@ def estimate_windows_batch(
     backend — the streaming tracker's golden-equivalence contract, and
     what lets the serving scheduler (:mod:`repro.serve.scheduler`)
     stack windows from *different* client sessions into one pass.
-    The same contract lets :func:`repro.dsp.pool.music_batch` cut a
-    large MUSIC stack into one contiguous chunk per core; telemetry is
-    emitted here, on the calling thread, in row order.
+    The same contract lets :func:`repro.dsp.pool.music_batch` run a
+    MUSIC stack of more than 32 windows as 32-window units on every
+    core; telemetry is emitted here, on the calling thread, in row
+    order.
 
     On the default ``numpy-float64`` backend the kernel sequence (and
     its telemetry) is the exact pre-backend code path, bit for bit.
@@ -382,10 +383,12 @@ def compute_spectrogram(
     ``MotionSpectrogram.estimators`` records which path produced it.
 
     The whole trace is processed through the batched kernel layer
-    (:mod:`repro.dsp`) — strided windows, one stacked covariance and
-    eigendecomposition, shared steering tables — producing rows
-    bit-identical to the per-window :func:`compute_spectrogram_frame`
-    the streaming tracker calls.
+    (:mod:`repro.dsp`) — strided windows, stacked covariances and
+    eigendecompositions in 32-window units spread over the cores,
+    shared steering tables — producing rows bit-identical to the
+    per-window :func:`compute_spectrogram_frame` the streaming tracker
+    calls.  Beyond the trace and the spectrogram, the pass holds one
+    unit's intermediates per core, however long the trace.
     """
     config = config if config is not None else TrackingConfig()
     series = np.asarray(channel_series, dtype=complex)

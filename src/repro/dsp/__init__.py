@@ -16,9 +16,10 @@ The kernel stack is dispatched through a pluggable backend protocol
 modules above verbatim and stays the default; ``numpy-float32``
 (:mod:`~repro.dsp.backend_f32`) is a budgeted fast path.  Selection
 is per-process (``REPRO_DSP_BACKEND`` / ``repro --dsp-backend``).
-:mod:`~repro.dsp.pool` splits large window stacks into one contiguous
-chunk per core, and every DSP pass, of any size, first sets the
-process's BLAS to one thread (:mod:`~repro.dsp.blas`).
+:mod:`~repro.dsp.pool` runs a window stack of more than 32 windows as
+32-window units that every core takes from one cursor, and every DSP
+pass, of any size, first sets the process's BLAS to one thread
+(:mod:`~repro.dsp.blas`).
 
 Three contracts hold across the package, per backend:
 

@@ -107,7 +107,7 @@ class NumpyFloat32Backend(DspBackend):
 
     def __init__(self) -> None:
         self._steering_memo: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-        # Chunks of one stack run on several threads (repro.dsp.pool).
+        # Units of one stack run on several threads (repro.dsp.pool).
         self._steering_lock = threading.Lock()
 
     # -- helpers --------------------------------------------------------

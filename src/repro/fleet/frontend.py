@@ -81,7 +81,8 @@ __all__ = ["FleetConfig", "FleetServer", "FleetStats", "merge_snapshots"]
 BACKEND_TIMEOUT_S = 30.0
 
 #: Seconds between supervisor ticks.  Each tick restarts a dead shard
-#: or probes a live one once; served totals lag a SIGKILL by one tick.
+#: or starts a probe of a live one; served totals lag a SIGKILL by one
+#: probe.
 SUPERVISOR_INTERVAL_S = 0.25
 
 
@@ -166,6 +167,8 @@ class _ShardState:
         #: current one last.  A retired incarnation (crashed or drained)
         #: keeps its final probe, so its served work stays in the totals.
         self.probes: list[dict[str, Any]] = [{}]
+        #: The supervisor's probe of this shard, while one is in flight.
+        self.probe_task: asyncio.Task | None = None
 
     @property
     def name(self) -> str:
@@ -317,7 +320,8 @@ class FleetServer:
                 await self._supervisor
             except asyncio.CancelledError:
                 pass
-        for task in list(self._drainers):
+        probes = [state.probe_task for state in self._shards.values() if state.probe_task]
+        for task in list(self._drainers) + probes:
             task.cancel()
             try:
                 await task
@@ -376,10 +380,13 @@ class FleetServer:
                 await self._probe(state)
 
     async def _supervise(self) -> None:
-        """Restart crashed shards; probe each live one once per tick."""
-        # Shutdown cancels this task, but on Python 3.11 a cancel that
-        # lands as a probe's ``wait_for`` completes is swallowed; the
-        # stop flag still ends the loop, so shutdown never waits forever.
+        """Restart crashed shards; start a probe of each live one per tick.
+
+        A probe runs as its own task, at most one per shard, and the
+        tick never awaits it: a wedged shard's probe, which may wait
+        ``BACKEND_TIMEOUT_S``, delays neither a restart nor the other
+        shards' probes.
+        """
         while not self._stopped.is_set():
             await asyncio.sleep(SUPERVISOR_INTERVAL_S)
             for state in list(self._shards.values()):
@@ -387,8 +394,8 @@ class FleetServer:
                     continue
                 if not state.handle.alive:
                     await self._restart_shard(state)
-                    continue
-                await self._probe(state)
+                elif state.probe_task is None or state.probe_task.done():
+                    state.probe_task = asyncio.create_task(self._probe(state))
             if self.hub is not None:
                 self.hub.publish("fleet.shards", shards=self.shard_snapshots())
 

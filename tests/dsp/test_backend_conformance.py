@@ -42,7 +42,7 @@ from repro.dsp.eig import REASON_OK
 WINDOW = 32
 SUBARRAY = 12  # even: exercises the float32 real-transform fast path
 CONFIG = TrackingConfig(window_size=WINDOW, hop=8, subarray_size=SUBARRAY)
-#: Cores the pool is told it has, so the chunking is the same on any host.
+#: Cores the pool is told it has, so as many threads take units on any host.
 POOL_CORES = 4
 
 
@@ -82,7 +82,7 @@ def interleaved_stack(music_windows):
 
     The finite rows cycle through clean, dead, saturated and tone
     windows, so a pooled MUSIC stack holds exactly ``music_windows``
-    rows with guard rejections in every chunk.
+    rows with guard rejections in every full unit.
     """
     rng = np.random.default_rng(music_windows)
     kinds = ("clean", "clean", "dead", "clean", "saturated", "clean", "tone", "clean")
@@ -110,13 +110,13 @@ def _finite_rows(windows):
 
 
 @contextmanager
-def _recorded_chunks(backend):
-    """Record ``(rows, thread name)`` of each ``backend.music_batch`` call."""
+def _recorded_units(backend):
+    """Record ``(windows, thread name)`` of each ``backend.music_batch`` call."""
     calls = []
     music_batch = backend.music_batch
 
     def recording(windows, config):
-        calls.append((len(windows), threading.current_thread().name))
+        calls.append((windows, threading.current_thread().name))
         return music_batch(windows, config)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -173,9 +173,10 @@ def test_accepted_rows_stay_inside_the_budget(name, stack):
 @pytest.mark.parametrize("name", backend_names())
 @settings(max_examples=25, deadline=None)
 @given(stack=window_stacks())
-@example(stack=interleaved_stack(2 * pool.MIN_CHUNK - 1))
-@example(stack=interleaved_stack(2 * pool.MIN_CHUNK))
-@example(stack=interleaved_stack(2 * pool.MIN_CHUNK + 1))
+@example(stack=interleaved_stack(pool.UNIT_WINDOWS))
+@example(stack=interleaved_stack(pool.UNIT_WINDOWS + 1))
+@example(stack=interleaved_stack(2 * pool.UNIT_WINDOWS))
+@example(stack=interleaved_stack(2 * pool.UNIT_WINDOWS + 1))
 @example(stack=interleaved_stack(309))  # the 25 s trace's window count
 def test_batch_of_one_is_bit_identical_per_backend(name, stack):
     backend = get_backend(name)
@@ -190,20 +191,24 @@ def test_batch_of_one_is_bit_identical_per_backend(name, stack):
         assert single.reasons[0] == batched.reasons[n]
         assert np.array_equal(single.eigenvalues[0], batched.eigenvalues[n])
 
-    # The pipeline entry splits a MUSIC stack of 2 * MIN_CHUNK or more
-    # finite windows across the pool; each row must still equal its
-    # own one-window frame.
-    with _recorded_chunks(backend) as calls:
+    # The pipeline entry runs a MUSIC stack of more than UNIT_WINDOWS
+    # finite windows as UNIT_WINDOWS-row units on the calling thread
+    # and the pool; each row must still equal its own one-window frame.
+    # Which thread runs which unit depends on timing; the units, in
+    # memory order, must tile the finite rows.
+    with _recorded_units(backend) as calls:
         power, counts, estimators = estimate_windows_batch(stack, CONFIG, backend=backend)
-    chunks = min(POOL_CORES, len(finite) // pool.MIN_CHUNK)
-    if chunks < 2:
-        assert calls == [(len(finite), threading.current_thread().name)]
+    if len(finite) <= pool.UNIT_WINDOWS:
+        assert [(len(w), t) for w, t in calls] == [
+            (len(finite), threading.current_thread().name)
+        ]
     else:
-        assert sorted(rows for rows, _ in calls) == sorted(
-            len(part) for part in np.array_split(finite, chunks)
-        )
-        pooled = [t for _, t in calls if t.startswith(pool.THREAD_NAME_PREFIX)]
-        assert len(pooled) == chunks - 1
+        units = sorted((w for w, _ in calls), key=lambda w: w.__array_interface__["data"][0])
+        assert [len(w) for w in units] == [
+            min(pool.UNIT_WINDOWS, len(finite) - start)
+            for start in range(0, len(finite), pool.UNIT_WINDOWS)
+        ]
+        assert np.array_equal(np.concatenate(units), finite)
     for n in range(len(stack)):
         frame = compute_spectrogram_frame(stack[n], CONFIG, backend=backend)
         assert np.array_equal(frame.power, power[n])

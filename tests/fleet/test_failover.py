@@ -9,6 +9,8 @@ to the offline compute of the same trace.
 """
 
 import asyncio
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -157,6 +159,32 @@ class TestCrash:
                     s["shard"]: s["state"] for s in fleet.shard_snapshots()
                 }
                 assert states == {"w0": "up", "w1": "up"}
+
+        asyncio.run(run())
+
+    def test_a_wedged_shard_does_not_delay_a_crash_restart(self):
+        """w0 stopped (alive but silent), w1 killed: w1 is back in seconds.
+
+        A probe of the stopped w0 waits up to ``BACKEND_TIMEOUT_S``
+        (30 s); the supervisor must not wait with it.
+        """
+
+        async def run():
+            async with running_fleet(workers=2) as fleet:
+                w0, w1 = fleet._shards["w0"], fleet._shards["w1"]
+                os.kill(w0.handle.pid, signal.SIGSTOP)
+                try:
+                    # A few ticks: a probe of w0 is now in flight, unanswered.
+                    await asyncio.sleep(0.5)
+                    w1.handle.kill()
+                    await _wait_for(
+                        lambda: w1.generation == 1 and w1.handle.alive,
+                        timeout_s=5.0,
+                    )
+                    assert w0.handle.alive and w0.generation == 0
+                finally:
+                    os.kill(w0.handle.pid, signal.SIGCONT)
+                assert fleet.stats.worker_restarts == 1
 
         asyncio.run(run())
 

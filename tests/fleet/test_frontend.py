@@ -421,36 +421,53 @@ class TestStatsView:
         assert stats["dsp_backend"] == scheduler["dsp_backend"] == "numpy-float64"
 
     def test_one_supervisor_tick_probes_each_live_shard_once(self, monkeypatch):
-        """One ``telemetry_snapshot`` per live shard per tick, nothing else."""
-        sent = []
+        """At most one ``telemetry_snapshot`` per live shard per tick, nothing else.
+
+        A probe runs on its own, so when it lands depends on timing; but
+        a tick starts none for a shard whose last probe is in flight.
+        """
+        sent, overlapping = [], []
+        in_flight = Counter()
         request = AsyncServeClient.request
 
         async def recording(self, frame):
-            sent.append(frame["type"])
-            return await request(self, frame)
+            sent.append((frame["type"], self.port))
+            in_flight[self.port] += 1
+            if in_flight[self.port] > 1:
+                overlapping.append(self.port)
+            try:
+                return await request(self, frame)
+            finally:
+                in_flight[self.port] -= 1
 
         monkeypatch.setattr(AsyncServeClient, "request", recording)
+        tick = ("tick", None)
 
         class TickHub:
             """The supervisor publishes ``fleet.shards`` once per tick."""
 
             def publish(self, kind, **fields):
                 if kind == "fleet.shards":
-                    sent.append("tick")
+                    sent.append(tick)
 
         async def run():
             async with running_fleet(workers=2, supervisor_interval_s=0.05) as fleet:
                 fleet.hub = TickHub()
                 deadline = asyncio.get_running_loop().time() + 20.0
-                while sent.count("tick") < 4:
+                while sent.count(tick) < 4:
                     assert asyncio.get_running_loop().time() < deadline
                     await asyncio.sleep(0.05)
-                return list(sent)
+                ports = {state.handle.port for state in fleet._shards.values()}
+                return list(sent), ports
 
-        events = asyncio.run(run())
-        ticks = [i for i, kind in enumerate(events) if kind == "tick"]
+        events, ports = asyncio.run(run())
+        ticks = [i for i, event in enumerate(events) if event == tick]
         for start, end in zip(ticks, ticks[1:]):
-            assert events[start + 1 : end] == [protocol.TELEMETRY_SNAPSHOT] * 2
+            probes = events[start + 1 : end]
+            assert {kind for kind, _ in probes} <= {protocol.TELEMETRY_SNAPSHOT}
+            assert len({port for _, port in probes}) == len(probes)
+        assert {port for _, port in events[ticks[0] :] if port is not None} == ports
+        assert overlapping == []
 
 
 def test_worker_stats_visible_through_single_worker_fleet(rng):
